@@ -17,6 +17,7 @@ from .graph import (
     Instance,
     Network,
     SteinerTree,
+    arc_layout,
     shortest_path_distances,
     mst_over_points,
 )
@@ -57,65 +58,32 @@ class TerminalIndex:
 class DualAscentResult:
     """Outcome of one dual-ascent run.
 
-    ``reduced_cost`` maps each directed arc (u, v) to its remaining cost;
-    ``root_component`` is the set of vertices the root reaches along
-    zero-reduced-cost arcs, which contains every terminal of the subset at
-    termination.
+    ``reduced_cost[a]`` is the remaining cost of arc ``a`` in the layout of
+    ``graph.arc_layout``: arc u->v of edge ``eid`` has id
+    ``2 * eid + (u > v)``.  ``root_component`` is the set of vertices the
+    root reaches along zero-reduced-cost arcs, which contains every terminal
+    of the subset at termination.
     """
 
     lower_bound: int
-    reduced_cost: dict[tuple[int, int], int]
+    reduced_cost: list[int]
     root_component: frozenset[int]
     root: int
     terminal_subset: frozenset[int]
 
 
-def _zero_cut(network: Network, reduced, z: int) -> set[int]:
-    """Vertices that can reach ``z`` along arcs of reduced cost zero."""
-    cut = {z}
-    stack = [z]
-    while stack:
-        x = stack.pop()
-        for y, _, _ in network.adjacency[x]:
-            if y not in cut and reduced[(y, x)] == 0:
-                cut.add(y)
-                stack.append(y)
-    return cut
-
-
-def _zero_closure_from(network: Network, reduced, source: int) -> set[int]:
-    """Vertices reachable from ``source`` along arcs of reduced cost zero."""
-    comp = {source}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        for y, _, _ in network.adjacency[x]:
-            if y not in comp and reduced[(x, y)] == 0:
-                comp.add(y)
-                stack.append(y)
-    return comp
-
-
-def _incoming_arcs(network: Network, cut: set[int]) -> list[tuple[int, int]]:
-    arcs = []
-    for x in cut:
-        for y, _, _ in network.adjacency[x]:
-            if y not in cut:
-                arcs.append((y, x))
-    return arcs
-
-
 def dual_ascent(
     instance: Instance, root: int, terminal_subset: Optional[Iterable[int]] = None
 ) -> DualAscentResult:
-    """Greedy feasible dual of the directed cut relaxation.
+    """Greedy feasible dual of the directed cut relaxation (Wong, 1984).
 
-    Repeatedly grows the zero-reduced-cost cut around an active terminal,
-    paying the cheapest incoming arc and shrinking all incoming arcs by that
-    amount.  Terminals are processed smallest-frontier first through a lazily
-    re-evaluated queue: only the popped terminal's cut is recomputed, and it
-    is pushed back when its frontier grew past the current minimum.  The sum
-    of payments is a lower bound on the cost of any tree spanning the subset.
+    Each active terminal keeps its cut (the vertices reaching it along
+    zero-reduced-cost arcs) and the arcs entering it.  A step pays the
+    cheapest entering arc and lowers every entering arc by that amount.
+    Terminals go smallest frontier first through a lazy queue: a popped
+    terminal grows its cut through entering arcs that reached zero, and is
+    pushed back when its frontier grew past the current minimum.  The sum of
+    payments is a lower bound on the cost of any tree spanning the subset.
     """
     net = instance.network
     subset = (
@@ -128,44 +96,68 @@ def dual_ascent(
     if not subset <= instance.terminals:
         raise InputError("terminal subset must consist of instance terminals")
 
-    reduced: dict[tuple[int, int], int] = {}
-    for u, v, c in net.edges:
-        reduced[(u, v)] = c
-        reduced[(v, u)] = c
+    tail, cost, out = arc_layout(net)
+    reduced = list(cost)
     lower = 0
     active = set(subset) - {root}
-    queue = [(net.degree(z), z) for z in sorted(active)]
+    cuts = {z: {z} for z in active}
+    # Frontier arcs enter the cut from outside; no arc is listed twice.
+    fronts = {z: [a ^ 1 for _, a in out[z]] for z in active}
+    queue = [(len(fronts[z]), z) for z in sorted(active)]
     heapq.heapify(queue)
 
     while queue:
-        count, z = heapq.heappop(queue)
-        if z not in active:
+        _, z = heapq.heappop(queue)
+        cut, front = cuts[z], fronts[z]
+        grown = {tail[a] for a in front if not reduced[a]}
+        if grown:
+            cut |= grown
+            stack = list(grown)
+            while stack:
+                x = stack.pop()
+                for y, a in out[x]:
+                    if y not in cut:
+                        if reduced[a ^ 1]:
+                            front.append(a ^ 1)
+                        else:
+                            cut.add(y)
+                            stack.append(y)
+            front = fronts[z] = [a for a in front if tail[a] not in cut]
+            # Only a grown cut can have reached the root or another terminal.
+            if root in cut or any(x in cut and x != z for x in active):
+                active.discard(z)
+                del cuts[z], fronts[z]
+                continue
+        if queue and len(front) > queue[0][0]:
+            heapq.heappush(queue, (len(front), z))
             continue
-        cut = _zero_cut(net, reduced, z)
-        if root in cut or any(x in cut and x != z for x in active):
-            active.discard(z)
-            continue
-        arcs = _incoming_arcs(net, cut)
-        if queue and len(arcs) > queue[0][0]:
-            heapq.heappush(queue, (len(arcs), z))
-            continue
-        step = min(reduced[a] for a in arcs)
+        step = min(map(reduced.__getitem__, front))
         lower += step
-        for a in arcs:
+        for a in front:
             reduced[a] -= step
-        heapq.heappush(queue, (len(arcs), z))
+        heapq.heappush(queue, (len(front), z))
 
-    component = _zero_closure_from(net, reduced, root)
+    component = {root}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y, a in out[x]:
+            if y not in component and not reduced[a]:
+                component.add(y)
+                stack.append(y)
     return DualAscentResult(lower, reduced, frozenset(component), root, subset)
 
 
 def directed_distances(
     network: Network,
-    arc_costs,
+    arc_costs: list[int],
     sources: Iterable[int],
     reverse: bool = False,
 ) -> list[int]:
-    """Dijkstra over directed arc costs; multi-source; ``reverse`` flips arcs."""
+    """Dijkstra over costs indexed by arc id; multi-source; ``reverse``
+    follows every arc backwards (distances to the sources)."""
+    flip = 1 if reverse else 0
+    _, _, out = arc_layout(network)
     inf = network.total_cost + 1
     dist = [inf] * network.vertex_count
     heap = []
@@ -177,9 +169,8 @@ def directed_distances(
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, _, _ in network.adjacency[u]:
-            cost = arc_costs[(v, u)] if reverse else arc_costs[(u, v)]
-            nd = d + cost
+        for v, a in out[u]:
+            nd = d + arc_costs[a ^ flip]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -565,12 +556,16 @@ def _spread(items: list[int], cap: int) -> list[int]:
     return picked
 
 
-def upper_bound_pipeline(instance: Instance, root: int) -> SteinerTree:
+def upper_bound_pipeline(
+    instance: Instance, root: int, run: Optional[DualAscentResult] = None
+) -> SteinerTree:
     """Best tree among RSPH runs on the full graph and on the dual-ascent
-    root component, post-processed by local search."""
+    root component, post-processed by local search.  ``run`` may hand in the
+    ``dual_ascent(instance, root)`` result, which then is not recomputed."""
+    if run is None:
+        run = dual_ascent(instance, root)
     terms = sorted(instance.terminals)
     candidates = [rsph(instance, None, s) for s in _spread(terms, 16)]
-    run = dual_ascent(instance, root)
     candidates.append(rsph(instance, run.root_component, root))
     best = candidates[0]
     for cand in candidates[1:]:
@@ -579,15 +574,19 @@ def upper_bound_pipeline(instance: Instance, root: int) -> SteinerTree:
     return local_search(instance, best)
 
 
+def best_root_run(instance: Instance) -> DualAscentResult:
+    """The dual-ascent run with the highest bound among up to 50 terminal
+    roots spread over the sorted terminals; ties to the smallest root id."""
+    best = None
+    for r in _spread(sorted(instance.terminals), 50):
+        run = dual_ascent(instance, r)
+        if best is None or run.lower_bound > best.lower_bound:
+            best = run
+    return best
+
+
 def select_root(instance: Instance) -> int:
     """Terminal whose dual-ascent bound is highest; ties to the smallest id."""
-    terms = sorted(instance.terminals)
-    if len(terms) == 1:
-        return terms[0]
-    best_root = None
-    best_bound = -1
-    for r in _spread(terms, 50):
-        bound = dual_ascent(instance, r).lower_bound
-        if bound > best_bound:
-            best_root, best_bound = r, bound
-    return best_root
+    if len(instance.terminals) == 1:
+        return min(instance.terminals)
+    return best_root_run(instance).root

@@ -85,7 +85,7 @@ def _emit_solution(args, parsed, result) -> None:
 
 def _run_single(args) -> int:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_bytes()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -156,7 +156,7 @@ def _run_bench(args) -> int:
     for path in files:
         started = time.perf_counter()
         try:
-            parsed = parse_instance(path.read_text(encoding="utf-8"), args.format)
+            parsed = parse_instance(path.read_bytes(), args.format)
             result = solve(parsed.instance, _make_config(args, args.budget))
             elapsed = time.perf_counter() - started
             cost = "" if result.cost is None else result.cost

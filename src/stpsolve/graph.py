@@ -88,10 +88,6 @@ class Network:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, u: int) -> tuple[tuple[int, int, int], ...]:
-        """(neighbor, cost, edge id) triples of ``u``, sorted by neighbor."""
-        return self.adjacency[u]
-
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
@@ -218,6 +214,28 @@ def shortest_path_edges(network: Network, source: int, target: int) -> list[int]
             raise InternalError("shortest path retrace failed")
     path.reverse()
     return path
+
+
+def arc_layout(network: Network):
+    """(tail, cost, out) of the bidirected network, memoized on it.
+
+    Edge ``eid`` = (u, v), stored with u < v, gives arc u->v the id
+    ``2 * eid`` and arc v->u the id ``2 * eid + 1``, so the reverse of arc
+    ``a`` is ``a ^ 1``.  ``tail[a]`` and ``cost[a]`` describe arc ``a``, and
+    ``out[x]`` lists (neighbor y, id of arc x->y) sorted by neighbor.
+    """
+    cached = getattr(network, "_arc_layout", None)
+    if cached is None:
+        cached = (
+            tuple(x for u, v, _ in network.edges for x in (u, v)),
+            tuple(c for _, _, c in network.edges for _ in (0, 1)),
+            tuple(
+                tuple((y, 2 * eid + (x > y)) for y, _, eid in network.adjacency[x])
+                for x in range(network.vertex_count)
+            ),
+        )
+        network._arc_layout = cached
+    return cached
 
 
 def distance_matrix(network: Network) -> tuple[list[int], ...]:
@@ -451,12 +469,6 @@ class BottleneckOracle:
                 if cand < best:
                     best = cand
         return best
-
-
-def bottleneck_upper(
-    oracle: BottleneckOracle, u: int, v: int, exclude_direct_edge: bool = False
-) -> int:
-    return oracle.query(u, v, exclude_direct_edge)
 
 
 def validate_tree(instance: Instance, tree: SteinerTree) -> int:

@@ -46,9 +46,6 @@ class ParsedInstance:
     label_to_id: dict[int, int]
     source_format: str
 
-    def label_of(self, vertex: int) -> int:
-        return self.labels[vertex]
-
 
 def _tokenize(text: str) -> list[list[str]]:
     rows = []
@@ -60,11 +57,14 @@ def _tokenize(text: str) -> list[list[str]]:
     return rows
 
 
-def _parse_int(token: str, what: str) -> int:
+def _field(row: list[str], index: int, what: str) -> int:
+    """Integer ``row[index]``; a line cut short is a format error."""
+    if index >= len(row):
+        raise FormatError(f"line {' '.join(row)!r} lacks its {what}")
     try:
-        return int(token)
+        return int(row[index])
     except ValueError:
-        raise FormatError(f"expected an integer {what}, got {token!r}") from None
+        raise FormatError(f"expected an integer {what}, got {row[index]!r}") from None
 
 
 def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
@@ -100,15 +100,13 @@ def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
                 break
             if name == "graph":
                 if key == "nodes":
-                    node_count = _parse_int(row[1], "node count")
+                    node_count = _field(row, 1, "node count")
                 elif key == "edges":
-                    declared_edges = _parse_int(row[1], "edge count")
+                    declared_edges = _field(row, 1, "edge count")
                 elif key == "e":
-                    if len(row) < 4:
-                        raise FormatError(f"malformed edge line {' '.join(row)!r}")
-                    u = _parse_int(row[1], "endpoint")
-                    v = _parse_int(row[2], "endpoint")
-                    w = _parse_int(row[3], "edge cost")
+                    u = _field(row, 1, "endpoint")
+                    v = _field(row, 2, "endpoint")
+                    w = _field(row, 3, "edge cost")
                     edge_lines.append((u, v, w))
                 elif key == "obstacles":
                     pass
@@ -116,9 +114,9 @@ def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
                     raise FormatError(f"unsupported graph line {' '.join(row)!r}")
             elif name == "terminals":
                 if key == "terminals":
-                    declared_terminals = _parse_int(row[1], "terminal count")
+                    declared_terminals = _field(row, 1, "terminal count")
                 elif key == "t":
-                    terminal_lines.append(_parse_int(row[1], "terminal"))
+                    terminal_lines.append(_field(row, 1, "terminal"))
                 elif key in ("root", "rootp"):
                     pass
                 else:
@@ -224,7 +222,13 @@ def detect_format(text: str) -> str:
     raise FormatError("unrecognized instance format")
 
 
-def parse_instance(text: str, fmt: str = "auto") -> ParsedInstance:
+def parse_instance(text: str | bytes, fmt: str = "auto") -> ParsedInstance:
+    """Parse instance text; bytes must be UTF-8."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"instance is not UTF-8 text: {exc}") from None
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "stp":

@@ -194,7 +194,8 @@ class _Working:
 
     # -- shared helpers ------------------------------------------------------
 
-    def dijkstra(self, source: int) -> dict[int, int]:
+    def dijkstra(self, source: int, banned: Optional[int] = None) -> dict[int, int]:
+        """Distances from ``source`` in the graph without vertex ``banned``."""
         dist = {source: 0}
         heap = [(0, source)]
         while heap:
@@ -202,6 +203,8 @@ class _Working:
             if d > dist[u]:
                 continue
             for v, (c, _) in self.adj[u].items():
+                if v == banned:
+                    continue
                 nd = d + c
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
@@ -447,25 +450,29 @@ class _Working:
                 break
         return replaced
 
-    def dual_ascent_elimination(self, upper_bound: int) -> int:
+    def dual_ascent_elimination(self, upper_bound: Optional[int] = None) -> int:
+        """Delete vertices and edges whose dual-ascent bound exceeds the
+        upper bound.  Without ``upper_bound``, the upper-bound pipeline runs
+        on the snapshot, reusing root selection's dual-ascent run."""
         if len(self.terminals) <= 1:
             return 0
         self.restrict_to_terminal_component()
         inst, order = self.snapshot()
+        run = _bounds.best_root_run(inst)
+        root = run.root
+        if upper_bound is None:
+            upper_bound = _bounds.upper_bound_pipeline(inst, root, run).cost
         if upper_bound >= inst.network.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
         pos = {v: i for i, v in enumerate(order)}
-        root = _bounds.select_root(inst)
-        run = _bounds.dual_ascent(inst, root)
         net = inst.network
         lower = run.lower_bound
-        from_root = _bounds.directed_distances(net, run.reduced_cost, (root,))
+        reduced = run.reduced_cost
+        from_root = _bounds.directed_distances(net, reduced, (root,))
         nonroot = sorted(inst.terminals - {root})
         if not nonroot:
             return 0
-        to_terminal = _bounds.directed_distances(
-            net, run.reduced_cost, nonroot, reverse=True
-        )
+        to_terminal = _bounds.directed_distances(net, reduced, nonroot, reverse=True)
         doomed_vertices = []
         for v in sorted(self.alive):
             if v in self.terminals:
@@ -476,8 +483,9 @@ class _Working:
         doomed_edges = []
         for u, v, c in self.edge_list():
             i, j = pos[u], pos[v]
-            via_u = from_root[i] + run.reduced_cost[(i, j)] + to_terminal[j]
-            via_v = from_root[j] + run.reduced_cost[(j, i)] + to_terminal[i]
+            arc = 2 * net.edge_between(i, j)  # i < j, so this is arc i->j
+            via_u = from_root[i] + reduced[arc] + to_terminal[j]
+            via_v = from_root[j] + reduced[arc + 1] + to_terminal[i]
             if lower + min(via_u, via_v) > upper_bound:
                 doomed_edges.append((u, v))
         for v in doomed_vertices:
@@ -512,22 +520,6 @@ class _Working:
                 return 1
         return 0
 
-    def _dijkstra_avoiding(self, source: int, banned: int) -> dict[int, int]:
-        dist = {source: 0}
-        heap = [(0, source)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist[x]:
-                continue
-            for y, (c, _) in self.adj[x].items():
-                if y == banned:
-                    continue
-                nd = d + c
-                if y not in dist or nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        return dist
-
     def nearest_vertex(self) -> int:
         """Contract a terminal's cheapest edge when every alternative exit is
         provably no cheaper than rerouting through that edge.
@@ -548,7 +540,7 @@ class _Working:
             items = sorted((c, v) for v, (c, _) in self.adj[z].items())
             c1, u = items[0]
             c2, second = items[1]
-            reach = self._dijkstra_avoiding(u, z)
+            reach = self.dijkstra(u, banned=z)
             detour = None
             for t in self.terminals:
                 if t != z and t in reach:
@@ -570,14 +562,6 @@ class _Working:
                 self.contract_edge_pair(z, u)
                 contracted += 1
         return contracted
-
-    def compute_upper_bound(self) -> Optional[int]:
-        if len(self.terminals) <= 1:
-            return None
-        self.restrict_to_terminal_component()
-        inst, _ = self.snapshot()
-        root = _bounds.select_root(inst)
-        return _bounds.upper_bound_pipeline(inst, root).cost
 
     # -- finalization ----------------------------------------------------------
 
@@ -713,7 +697,6 @@ def run_pipeline(
     while len(w.terminals) > 1 and any(active.values()):
         _check_deadline(cfg.deadline)
         round_changed = 0
-        upper = None
         for op in _EXCLUSIONS + _INCLUSIONS:
             if not active[op] or len(w.terminals) <= 1:
                 continue
@@ -726,9 +709,7 @@ def run_pipeline(
             elif op == "ntdk":
                 n = w.ntdk(cfg.ntdk_max_degree, cfg.nearest_terminals)
             elif op == "dual_ascent_bounds":
-                if upper is None:
-                    upper = w.compute_upper_bound()
-                n = 0 if upper is None else w.dual_ascent_elimination(upper)
+                n = w.dual_ascent_elimination()
             elif op == "short_links":
                 n = w.short_links()
             else:

@@ -175,8 +175,8 @@ class SearchStats:
     stale_pops: int = 0
     wall_time: float = 0.0
 
-    def line(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "expansions": self.expansions,
             "re_expansions": self.re_expansions,
             "insertions": self.insertions,
@@ -186,7 +186,9 @@ class SearchStats:
             "stale_pops": self.stale_pops,
             "wall_time": round(self.wall_time, 6),
         }
-        return json.dumps(payload)
+
+    def line(self) -> str:
+        return json.dumps(self.as_dict())
 
 
 @dataclass
@@ -499,7 +501,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
                 f"expanded tree costs {recomputed}, expected {cost + pre.offset}"
             )
         stats["wall_time"] = time.perf_counter() - started
-        stats["search"] = json.loads(search_stats.line())
+        stats["search"] = search_stats.as_dict()
         return SolveResult("optimal", tree, tree.cost, stats, pre, search_stats)
     except SolveTimeout:
         stats["wall_time"] = time.perf_counter() - started

@@ -1,11 +1,14 @@
+import heapq
 import itertools
 import random
+import signal
 
 import pytest
 
 from stpsolve import (
     InputError,
     Instance,
+    Network,
     da_heuristic,
     dreyfus_wagner,
     dual_ascent,
@@ -18,6 +21,7 @@ from stpsolve import (
     validate_tree,
     zero_heuristic,
 )
+from stpsolve.bounds import best_root_run
 from conftest import random_instance
 
 
@@ -50,9 +54,10 @@ class TestDualAscent:
             inst = random_instance(rng)
             root = min(inst.terminals)
             run = dual_ascent(inst, root)
-            for u, v, c in inst.network.edges:
-                assert 0 <= run.reduced_cost[(u, v)] <= c
-                assert 0 <= run.reduced_cost[(v, u)] <= c
+            assert len(run.reduced_cost) == 2 * inst.network.edge_count
+            for eid, (u, v, c) in enumerate(inst.network.edges):
+                assert 0 <= run.reduced_cost[2 * eid] <= c  # arc u->v
+                assert 0 <= run.reduced_cost[2 * eid + 1] <= c  # arc v->u
             assert inst.terminals <= run.root_component
             assert run.lower_bound <= dreyfus_wagner(inst, root)[0]
 
@@ -66,6 +71,137 @@ class TestDualAscent:
                 subset = frozenset(terms[: size + 1])
                 run = dual_ascent(inst, root, subset)
                 assert run.lower_bound <= csmt(inst, subset)
+
+
+def reference_dual_ascent(instance, root, subset):
+    """Dual ascent that rebuilds the active cut from scratch at every step.
+
+    The oracle for the incremental kernel: same lazy queue keyed by
+    (frontier size, terminal), arc costs keyed by (tail, head).  Returns
+    (lower bound, reduced costs, root component).
+    """
+    net = instance.network
+    reduced = {}
+    for u, v, c in net.edges:
+        reduced[(u, v)] = reduced[(v, u)] = c
+
+    def closure(start, backwards):
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y, _, _ in net.adjacency[x]:
+                arc = (y, x) if backwards else (x, y)
+                if y not in seen and reduced[arc] == 0:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    lower = 0
+    active = set(subset) - {root}
+    queue = [(net.degree(z), z) for z in sorted(active)]
+    heapq.heapify(queue)
+    while queue:
+        _, z = heapq.heappop(queue)
+        cut = closure(z, backwards=True)
+        if root in cut or any(x in cut and x != z for x in active):
+            active.discard(z)
+            continue
+        arcs = [
+            (y, x) for x in cut for y, _, _ in net.adjacency[x] if y not in cut
+        ]
+        if queue and len(arcs) > queue[0][0]:
+            heapq.heappush(queue, (len(arcs), z))
+            continue
+        step = min(reduced[a] for a in arcs)
+        lower += step
+        for a in arcs:
+            reduced[a] -= step
+        heapq.heappush(queue, (len(arcs), z))
+    return lower, reduced, closure(root, backwards=False)
+
+
+def hypercube_instance(dim, terminal_count, rng):
+    n = 1 << dim
+    edges = [
+        (u, u ^ (1 << b), rng.randint(1, 3))
+        for u in range(n)
+        for b in range(dim)
+        if u < u ^ (1 << b)
+    ]
+    return Instance(Network(n, edges), frozenset(rng.sample(range(n), terminal_count)))
+
+
+def unit_grid_instance(side, terminal_count, rng):
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1, 1))
+            if r + 1 < side:
+                edges.append((v, v + side, 1))
+    terms = rng.sample(range(side * side), terminal_count)
+    return Instance(Network(side * side, edges), frozenset(terms))
+
+
+class TestIncrementalDualAscent:
+    """The incremental kernel agrees with the from-scratch reference on the
+    bound, every reduced arc cost and the root component."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """A kernel that stops making progress fails instead of hanging."""
+
+        def expire(signum, frame):
+            raise TimeoutError("dual ascent ran for more than 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def assert_matches_reference(self, inst, root, subset):
+        run = dual_ascent(inst, root, subset)
+        lower, reduced, component = reference_dual_ascent(inst, root, subset)
+        assert run.lower_bound == lower
+        assert min(run.reduced_cost) >= 0
+        for eid, (u, v, _) in enumerate(inst.network.edges):
+            assert run.reduced_cost[2 * eid] == reduced[(u, v)]
+            assert run.reduced_cost[2 * eid + 1] == reduced[(v, u)]
+        assert run.root_component == component
+
+    def subsets_with(self, rng, terms, root, count):
+        others = [z for z in terms if z != root]
+        yield frozenset(terms)
+        for _ in range(count):
+            yield frozenset(rng.sample(others, rng.randint(0, len(others)))) | {root}
+
+    def test_random_instances_every_root(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            inst = random_instance(rng, max_t=7)
+            terms = sorted(inst.terminals)
+            for root in terms:
+                for subset in self.subsets_with(rng, terms, root, 2):
+                    self.assert_matches_reference(inst, root, subset)
+
+    def test_hypercube(self):
+        rng = random.Random(71)
+        inst = hypercube_instance(6, 10, rng)
+        terms = sorted(inst.terminals)
+        for root in terms:
+            for subset in self.subsets_with(rng, terms, root, 1):
+                self.assert_matches_reference(inst, root, subset)
+
+    def test_unit_grid(self):
+        rng = random.Random(73)
+        inst = unit_grid_instance(14, 12, rng)
+        terms = sorted(inst.terminals)
+        for root in terms:
+            for subset in self.subsets_with(rng, terms, root, 1):
+                self.assert_matches_reference(inst, root, subset)
 
 
 class TestDualAscentHeuristic:
@@ -194,7 +330,24 @@ class TestUpperBoundPipeline:
             assert tree.cost >= dreyfus_wagner(inst, root)[0]
 
 
+    def test_reused_run_gives_the_same_tree(self):
+        rng = random.Random(62)
+        for _ in range(10):
+            inst = random_instance(rng)
+            run = best_root_run(inst)
+            reused = upper_bound_pipeline(inst, run.root, run)
+            assert reused == upper_bound_pipeline(inst, run.root)
+
+
 class TestSelectRoot:
+    def test_best_run_is_the_selected_roots_run(self):
+        rng = random.Random(63)
+        for _ in range(10):
+            inst = random_instance(rng)
+            run = best_root_run(inst)
+            assert run.root == select_root(inst)
+            assert run == dual_ascent(inst, run.root)
+
     def test_single_terminal(self):
         from stpsolve import Network
 

@@ -66,6 +66,22 @@ class TestSingleRun:
         bad.write_text("SECTION Graph\nNodes 2\nEdges 1\nE 1 2 0\nEND\n")
         assert main([str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "line, cut", [("Nodes 4", "Nodes"), ("Edges 6", "Edges"), ("T 2", "T")]
+    )
+    def test_truncated_line(self, tmp_path, capsys, line, cut):
+        bad = tmp_path / "bad.stp"
+        bad.write_text(K4_LONG_STP.replace(line, cut), encoding="utf-8")
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.stp"
+        bad.write_bytes(K4_LONG_STP.encode("utf-8").replace(b"T 4", b"T \xff"))
+        assert main([str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_byte_identical_reruns(self, k4_stp, capsys):
         main([str(k4_stp), "--print-tree"])
         first = capsys.readouterr().out
@@ -176,6 +192,17 @@ class TestBench:
             return out
 
         assert strip_time(first) == strip_time(second)
+
+    def test_bad_files_get_error_rows(self, bench_dir, capsys):
+        (bench_dir / "g_short.stp").write_text(
+            K4_LONG_STP.replace("Nodes 4", "Nodes"), encoding="utf-8"
+        )
+        (bench_dir / "h_bytes.stp").write_bytes(b"\xff\xfe\x00")
+        assert main(["--bench", str(bench_dir)]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        status = {row.split(",")[0]: row.split(",")[1] for row in rows}
+        assert status["g_short.stp"] == status["h_bytes.stp"] == "error"
+        assert status["f_k4.stp"] == "optimal"
 
     def test_unreadable_directory(self, tmp_path, capsys):
         assert main(["--bench", str(tmp_path / "nope")]) == 2

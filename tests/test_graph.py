@@ -12,7 +12,6 @@ from stpsolve import (
     SteinerTree,
     TerminalMissing,
     UnknownEdge,
-    bottleneck_upper,
     distance_network,
     minimum_spanning_tree,
     shortest_path_distances,
@@ -184,15 +183,15 @@ class TestVoronoi:
 class TestBottleneck:
     def test_path_endpoints(self, fix_path):
         oracle = BottleneckOracle(fix_path.network, fix_path.terminals)
-        assert bottleneck_upper(oracle, 0, 2) == 5
+        assert oracle.query(0, 2) == 5
 
     def test_k4_splits_at_terminal(self, fix_k4):
         oracle = BottleneckOracle(fix_k4.network, fix_k4.terminals)
-        assert bottleneck_upper(oracle, 0, 3) == 15
+        assert oracle.query(0, 3) == 15
 
     def test_diamond(self, fix_diamond):
         oracle = BottleneckOracle(fix_diamond.network, fix_diamond.terminals)
-        assert bottleneck_upper(oracle, 0, 1) == 2
+        assert oracle.query(0, 1) == 2
 
     def test_over_approximates_reference_on_small_graphs(self):
         rng = random.Random(19)

@@ -133,6 +133,37 @@ class TestParseGr:
             parse_gr(text)
 
 
+class TestTruncatedLines:
+    """A line cut short before its value is a format error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "line, cut",
+        [
+            ("Nodes 3", "Nodes"),
+            ("Edges 2", "Edges"),
+            ("Terminals 2", "Terminals"),
+            ("T 3", "T"),
+            ("E 2 3 3", "E"),
+            ("E 2 3 3", "E 2"),
+            ("E 2 3 3", "E 2 3"),
+        ],
+    )
+    def test_missing_value(self, line, cut):
+        assert line in PATH_STP
+        with pytest.raises(FormatError):
+            parse_instance(PATH_STP.replace(line, cut))
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(FormatError):
+            parse_instance(PATH_STP.encode("utf-8") + b"\xff\xfe")
+
+    def test_utf8_bytes_parse_like_text(self):
+        from_bytes = parse_instance(PATH_STP.encode("utf-8")).instance
+        from_text = parse_instance(PATH_STP).instance
+        assert from_bytes.network.edges == from_text.network.edges
+        assert from_bytes.terminals == from_text.terminals
+
+
 class TestDetectFormat:
     def test_detects_both(self):
         assert detect_format(PATH_STP) == "stp"
