@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
@@ -79,6 +80,9 @@ class PreprocessResult:
     stats: dict
     vertex_image: dict[int, Optional[int]]
     changed: int
+    # Root selection's dual-ascent run on ``reduced``, when the last
+    # dual-ascent elimination round ran on exactly that graph.
+    root_run: Optional[_bounds.DualAscentResult] = None
 
 
 @dataclass
@@ -114,6 +118,8 @@ class _Working:
         self.records: list = []
         self.forced: list[tuple[int, ...]] = []
         self.merged_into: dict[int, int] = {}
+        # (snapshot, best root run) of the last dual-ascent elimination.
+        self.root_run: Optional[tuple[Instance, _bounds.DualAscentResult]] = None
 
     # -- primitive mutations -------------------------------------------------
 
@@ -391,63 +397,76 @@ class _Working:
         nearest_k: int = 3,
         oracle: Optional[BottleneckOracle] = None,
     ) -> int:
+        """Replace a non-terminal of degree 3..``max_degree`` by the pairwise
+        edges between its neighbors when, for every set of three or more of
+        them, the star through the vertex costs at least the MST over their
+        bottleneck Steiner distances.
+
+        One snapshot and one oracle serve the whole call; a passed-in
+        ``oracle`` (built on that snapshot) serves it too.  This stays exact
+        because a replacement keeps every shortest-path distance between
+        the surviving vertices: each new edge costs as much as the path
+        through the removed vertex, and other edges are only added or made
+        cheaper.  The oracle's terminal rows, nearest-terminal lists and
+        terminal MST therefore stay valid; only the direct edge between two
+        neighbors may have become cheaper, so queries also take its live cost.
+
+        Vertices are tested smallest id first, as a scan restarted after
+        every replacement would test them.  A vertex that failed is tested
+        again only if a replacement touched it: it neighbored the replaced
+        vertex, or it neighbors two of that vertex's neighbors and may have
+        gained an edge between them.
+        """
+        if len(self.terminals) <= 1:
+            return 0
+        self.restrict_to_terminal_component()
+        inst, order = self.snapshot()
+        pos = {v: i for i, v in enumerate(order)}
+        if oracle is None:
+            oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+        adj = self.adj
+        pending = [v for v in order if v not in self.terminals]  # sorted: a heap
+        queued = set(pending)
         replaced = 0
-        while len(self.terminals) > 1:
-            self.restrict_to_terminal_component()
-            inst, order = self.snapshot()
-            pos = {v: i for i, v in enumerate(order)}
-            cur_oracle = oracle if (oracle is not None and replaced == 0) else None
-            if cur_oracle is None:
-                cur_oracle = BottleneckOracle(
-                    inst.network, inst.terminals, nearest_k
+        while pending:
+            u = heapq.heappop(pending)
+            queued.discard(u)
+            deg = len(adj[u])
+            if deg < 3 or deg > max_degree:
+                continue
+            nbrs = sorted(adj[u].items())
+            costs = [c for _, (c, _) in nbrs]
+            ids = [v for v, _ in nbrs]
+            dist = [[0] * deg for _ in range(deg)]
+            for i, j in combinations(range(deg), 2):
+                d = oracle.query(pos[ids[i]], pos[ids[j]])
+                live = adj[ids[i]].get(ids[j])  # may be newer than the oracle
+                dist[i][j] = dist[j][i] = min(d, live[0]) if live else d
+            if any(
+                sum(costs[i] for i in combo)
+                < mst_over_points(size, lambda a, b: dist[combo[a]][combo[b]])[0]
+                for size in range(3, deg + 1)
+                for combo in combinations(range(deg), size)
+            ):
+                continue
+            # Keep the instance shrinking: a replacement may not add more
+            # edges than it deletes.
+            fresh_pairs = sum(
+                1 for i, j in combinations(range(deg), 2) if ids[j] not in adj[ids[i]]
+            )
+            if fresh_pairs > deg:
+                continue
+            self.remove_vertex(u)
+            for i, j in combinations(range(deg), 2):
+                self.add_or_min_edge(
+                    ids[i], ids[j], costs[i] + costs[j], nbrs[i][1][1] + nbrs[j][1][1]
                 )
-            fired = False
-            for u in sorted(self.alive):
-                if u in self.terminals:
-                    continue
-                deg = self.degree(u)
-                if deg < 3 or deg > max_degree:
-                    continue
-                nbrs = sorted(self.adj[u].items())
-                costs = [c for _, (c, _) in nbrs]
-                ids = [v for v, _ in nbrs]
-                ok = True
-                for size in range(3, deg + 1):
-                    for combo in combinations(range(deg), size):
-                        incident = sum(costs[i] for i in combo)
-                        pts = [pos[ids[i]] for i in combo]
-                        mst_cost, _ = mst_over_points(
-                            len(pts),
-                            lambda i, j: cur_oracle.query(pts[i], pts[j]),
-                        )
-                        if incident < mst_cost:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                # Keep the instance shrinking: a replacement may not add more
-                # edges than it deletes.
-                fresh_pairs = sum(
-                    1
-                    for i, j in combinations(range(deg), 2)
-                    if ids[j] not in self.adj[ids[i]]
-                )
-                if fresh_pairs > deg:
-                    continue
-                pairs = [
-                    (ids[i], ids[j], costs[i] + costs[j], nbrs[i][1][1] + nbrs[j][1][1])
-                    for i, j in combinations(range(deg), 2)
-                ]
-                self.remove_vertex(u)
-                for x, y, c, prov in pairs:
-                    self.add_or_min_edge(x, y, c, prov)
-                replaced += 1
-                fired = True
-                break
-            if not fired:
-                break
+            replaced += 1
+            hits = Counter(w for x in ids for w in adj[x])
+            touched = {w for w, k in hits.items() if k >= 2}.union(ids)
+            for w in touched - queued - self.terminals:
+                heapq.heappush(pending, w)
+                queued.add(w)
         return replaced
 
     def dual_ascent_elimination(self, upper_bound: Optional[int] = None) -> int:
@@ -459,6 +478,7 @@ class _Working:
         self.restrict_to_terminal_component()
         inst, order = self.snapshot()
         run = _bounds.best_root_run(inst)
+        self.root_run = (inst, run)
         root = run.root
         if upper_bound is None:
             upper_bound = _bounds.upper_bound_pipeline(inst, root, run).cost
@@ -594,6 +614,15 @@ class _Working:
             while x in self.merged_into:
                 x = self.merged_into[x]
             image[v] = pos.get(x)
+        root_run = None
+        if self.root_run is not None:
+            snap, run = self.root_run
+            if (
+                snap.network.vertex_count == net.vertex_count
+                and snap.network.edges == net.edges
+                and snap.terminals == reduced.terminals
+            ):
+                root_run = run
         return PreprocessResult(
             original=self.instance,
             reduced=reduced,
@@ -602,6 +631,7 @@ class _Working:
             stats=stats,
             vertex_image=image,
             changed=changed,
+            root_run=root_run,
         )
 
 

@@ -198,6 +198,8 @@ class PruneState:
     ``upper[J]`` bounds the cost of some tree that spans J and touches one
     terminal outside J (the witness); states costlier than that bound cannot
     be part of an optimal decomposition and are kept out of the queue.
+    ``outside[J]`` lists ``(z, row of z, min(row[x] for x in J))`` for the
+    terminals z outside J, filled the first time J is pruned.
     """
 
     index: TerminalIndex
@@ -205,6 +207,9 @@ class PruneState:
     rows: dict[int, list[int]]
     upper: dict[int, int] = field(default_factory=dict)
     witness: dict[int, frozenset[int]] = field(default_factory=dict)
+    outside: dict[int, list[tuple[int, list[int], int]]] = field(
+        default_factory=dict
+    )
 
 
 def make_prune_state(instance: Instance, root: int) -> PruneState:
@@ -215,15 +220,21 @@ def make_prune_state(instance: Instance, root: int) -> PruneState:
 
 def prune(state: PruneState, v: int, mask: int, tentative: int) -> bool:
     """Update the subset bound with state (v, mask) and say whether to drop it."""
-    members = state.index.members(mask)
-    inside = set(members)
+    outside = state.outside.get(mask)
+    if outside is None:
+        members = state.index.members(mask)
+        inside = set(members)
+        outside = state.outside[mask] = [
+            (z, state.rows[z], min(state.rows[z][x] for x in members))
+            for z in state.terminals
+            if z not in inside
+        ]
     best = None
     best_z = None
-    for z in state.terminals:
-        if z in inside:
-            continue
-        row = state.rows[z]
-        jump = min(min(row[x] for x in members), row[v])
+    for z, row, nearest in outside:
+        jump = row[v]
+        if nearest < jump:
+            jump = nearest
         if best is None or jump < best:
             best, best_z = jump, z
     cand = tentative + best
@@ -477,10 +488,15 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             stats["wall_time"] = time.perf_counter() - started
             return SolveResult("optimal", tree, tree.cost, stats, pre)
 
+        run = pre.root_run
         if cfg.root is not None:
             root = pre.vertex_image[cfg.root]
             if root is None or root not in reduced.terminals:
                 raise InternalError("root override vanished during preprocessing")
+            if run is not None and run.root != root:
+                run = None
+        elif run is not None:
+            root = run.root  # preprocessing already selected it on this graph
         else:
             root = select_root(reduced)
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
@@ -488,7 +504,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         stats["root"] = root
 
         if deadline is not None:
-            upper_tree = upper_bound_pipeline(reduced, root)
+            upper_tree = upper_bound_pipeline(reduced, root, run)
             incumbent = unreduce(upper_tree, pre.log)
 
         cost, reduced_tree, search_stats = ds_star(

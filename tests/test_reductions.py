@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,9 @@ from stpsolve import (
     upper_bound_pipeline,
     validate_tree,
 )
-from stpsolve.reductions import PipelineConfig
+from stpsolve.bounds import best_root_run
+from stpsolve.graph import mst_over_points
+from stpsolve.reductions import PipelineConfig, _Working
 from conftest import random_instance
 
 
@@ -136,6 +139,123 @@ class TestNtdk:
         assert ntdk_test(inst).changed == 0
 
 
+
+def restarting_ntdk(w, max_degree=4, nearest_k=3):
+    """Reference NTDk: a fresh snapshot and oracle after every replacement,
+    then a new scan from the smallest vertex id."""
+    replaced = 0
+    while len(w.terminals) > 1:
+        w.restrict_to_terminal_component()
+        inst, order = w.snapshot()
+        pos = {v: i for i, v in enumerate(order)}
+        oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+        fired = False
+        for u in sorted(w.alive):
+            if u in w.terminals:
+                continue
+            deg = w.degree(u)
+            if deg < 3 or deg > max_degree:
+                continue
+            nbrs = sorted(w.adj[u].items())
+            costs = [c for _, (c, _) in nbrs]
+            ids = [v for v, _ in nbrs]
+            ok = True
+            for size in range(3, deg + 1):
+                for combo in combinations(range(deg), size):
+                    pts = [pos[ids[i]] for i in combo]
+                    mst_cost, _ = mst_over_points(
+                        len(pts), lambda i, j: oracle.query(pts[i], pts[j])
+                    )
+                    if sum(costs[i] for i in combo) < mst_cost:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            fresh_pairs = sum(
+                1
+                for i, j in combinations(range(deg), 2)
+                if ids[j] not in w.adj[ids[i]]
+            )
+            if fresh_pairs > deg:
+                continue
+            pairs = [
+                (ids[i], ids[j], costs[i] + costs[j], nbrs[i][1][1] + nbrs[j][1][1])
+                for i, j in combinations(range(deg), 2)
+            ]
+            w.remove_vertex(u)
+            for x, y, c, prov in pairs:
+                w.add_or_min_edge(x, y, c, prov)
+            replaced += 1
+            fired = True
+            break
+        if not fired:
+            break
+    return replaced
+
+
+def restarting_ntdk_test(instance):
+    w = _Working(instance)
+    changed = restarting_ntdk(w)
+    return w.finalize({"ntdk": {"changed": changed}}, changed)
+
+
+def random_cost_grid(rng):
+    """A w x h grid (6..12 per side) with costs from {1, 2, 5, 20}, up to
+    four random chords and 3..10 terminals."""
+    width, height = rng.randint(6, 12), rng.randint(6, 12)
+    costs = (1, 2, 5, 20)
+    n = width * height
+    edges = []
+    for v in range(n):
+        if v % width + 1 < width:
+            edges.append((v, v + 1, rng.choice(costs)))
+        if v + width < n:
+            edges.append((v, v + width, rng.choice(costs)))
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(costs)))
+    terminals = frozenset(rng.sample(range(n), rng.randint(3, 10)))
+    return Instance(Network(n, edges), terminals)
+
+
+class TestNtdkWorklist:
+    """The single-oracle worklist makes the same replacements, in the same
+    order, as the restarting scan."""
+
+    def assert_same(self, instances, min_multi):
+        multi = 0
+        for inst in instances:
+            want = restarting_ntdk_test(inst)
+            got = ntdk_test(inst)
+            assert got.changed == want.changed
+            assert got.reduced.network.edges == want.reduced.network.edges
+            assert got.reduced.terminals == want.reduced.terminals
+            assert got.log.records == want.log.records
+            multi += want.changed >= 2
+        assert multi >= min_multi  # the corpus exercises re-queueing
+
+    def test_random_instances(self):
+        rng = random.Random(89)
+        self.assert_same([random_instance(rng) for _ in range(400)], 100)
+
+    def test_random_cost_grids(self):
+        rng = random.Random(97)
+        self.assert_same([random_cost_grid(rng) for _ in range(60)], 55)
+
+    def test_passed_oracle_serves_the_whole_call(self):
+        rng = random.Random(101)
+        for _ in range(100):
+            inst = random_instance(rng)
+            oracle = BottleneckOracle(inst.network, inst.terminals)
+            got = ntdk_test(inst, oracle=oracle)
+            want = ntdk_test(inst)
+            assert got.changed == want.changed
+            assert got.reduced.network.edges == want.reduced.network.edges
+            assert got.log.records == want.log.records
+
+
 class TestDualAscentElimination:
     def test_tight_bound_keeps_star(self, fix_star):
         pre = dual_ascent_elimination(fix_star, 9)
@@ -157,6 +277,25 @@ class TestDualAscentElimination:
             upper = upper_bound_pipeline(inst, select_root(inst)).cost
             pre = dual_ascent_elimination(inst, upper)
             assert reduced_optimum(pre) + pre.offset == opt
+
+
+    def test_root_run_kept_only_for_the_unchanged_graph(self):
+        rng = random.Random(113)
+        for _ in range(10):
+            inst = random_instance(rng)
+            pre = dual_ascent_elimination(inst, inst.network.total_cost)
+            want = best_root_run(pre.reduced)
+            assert pre.root_run.root == want.root
+            assert pre.root_run.lower_bound == want.lower_bound
+            assert pre.root_run.reduced_cost == want.reduced_cost
+            w = _Working(inst)
+            w.dual_ascent_elimination(inst.network.total_cost)
+            u, v = next(
+                (u, v) for u in sorted(w.alive) for v in sorted(w.alive)
+                if u != v and v not in w.adj[u]
+            )
+            w.add_or_min_edge(u, v, 1, ())
+            assert w.finalize({}, 1).root_run is None
 
 
 class TestShortLinks:

@@ -16,6 +16,7 @@ from stpsolve import (
     one_tree_heuristic,
     prune,
     prune_combine,
+    select_root,
     shortest_path_distances,
     solve,
     validate_tree,
@@ -150,6 +151,29 @@ class TestDsStar:
         assert payload["expansions"] == stats.expansions
 
 
+def uncached_prune(state, v, mask, tentative):
+    """Reference ``prune``: the minimum over the mask's members is taken
+    afresh for every outside terminal on every call."""
+    members = state.index.members(mask)
+    inside = set(members)
+    best = None
+    best_z = None
+    for z in state.terminals:
+        if z in inside:
+            continue
+        row = state.rows[z]
+        jump = min(min(row[x] for x in members), row[v])
+        if best is None or jump < best:
+            best, best_z = jump, z
+    cand = tentative + best
+    cur = state.upper.get(mask)
+    if cur is None or cand < cur:
+        state.upper[mask] = cand
+        state.witness[mask] = frozenset((best_z,))
+        cur = cand
+    return tentative > cur
+
+
 class TestPruning:
     def test_fresh_state_never_prunes(self, fix_k4):
         state = make_prune_state(fix_k4, 2)
@@ -167,6 +191,25 @@ class TestPruning:
         full = state.index.full_mask
         optimum = dreyfus_wagner(fix_k4, 2)[0]
         assert prune(state, 2, full, optimum) is False
+
+    def test_matches_uncached_formula(self):
+        rng = random.Random(103)
+        for _ in range(60):
+            inst = random_instance(rng, min_n=6, min_t=3, max_t=7)
+            root = rng.choice(sorted(inst.terminals))
+            cached = make_prune_state(inst, root)
+            reference = make_prune_state(inst, root)
+            full = cached.index.full_mask
+            masks = [rng.randint(1, full) for _ in range(4)]
+            for _ in range(80):
+                v = rng.randrange(inst.network.vertex_count)
+                mask = rng.choice(masks)
+                tentative = rng.randint(0, 2 * inst.network.total_cost)
+                assert prune(cached, v, mask, tentative) == uncached_prune(
+                    reference, v, mask, tentative
+                )
+                assert cached.upper == reference.upper
+                assert cached.witness == reference.witness
 
     def test_combine_installs_sum_bound(self, fix_k4):
         state = make_prune_state(fix_k4, 2)
@@ -249,6 +292,29 @@ class TestSolve:
             for h in ("auto", "da", "onetree", "zero")
         }
         assert costs == {8}
+
+    def test_preprocessing_root_run_is_reused(self):
+        rng = random.Random(127)
+        reused = 0
+        for _ in range(20):
+            width = rng.randint(7, 9)
+            n = width * width
+            edges = [(v, v + 1, 1) for v in range(n) if v % width + 1 < width]
+            edges += [(v, v + width, 1) for v in range(n - width)]
+            terminals = frozenset(rng.sample(range(n), rng.randint(3, 6)))
+            inst = Instance(Network(n, edges), terminals)
+            result = solve(inst)
+            pre = result.preprocess
+            if result.search is None:
+                continue
+            assert result.stats["root"] == select_root(pre.reduced)
+            if pre.root_run is not None:
+                reused += 1
+                assert pre.root_run.root == result.stats["root"]
+            limited = solve(inst, SolveConfig(time_limit=60.0))
+            assert limited.cost == result.cost
+            assert limited.stats["root"] == result.stats["root"]
+        assert reused >= 3
 
     def test_zero_time_limit_times_out(self, fix_k4):
         result = solve(fix_k4, SolveConfig(time_limit=0.0))
