@@ -18,8 +18,6 @@ from .graph import (
     StpError,
     TerminalMissing,
     UnknownEdge,
-    distance_network,
-    minimum_spanning_tree,
     shortest_path_distances,
     validate_tree,
     voronoi_partition,

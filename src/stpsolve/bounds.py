@@ -314,29 +314,36 @@ def _tree_vertices(network: Network, edges: Iterable[int]) -> set[int]:
 
 
 def _prune_leaves(network: Network, edges: set[int], keep: frozenset[int]) -> set[int]:
-    """Repeatedly delete degree-1 vertices that are not in ``keep``."""
+    """Repeatedly delete degree-1 vertices that are not in ``keep``.
+
+    On a tree this always ends at the minimal subtree spanning the ``keep``
+    vertices it touches, whatever the order, so one worklist pass suffices.
+    ``link[x]`` is the XOR of the ids of x's remaining edges: a leaf's last
+    edge is its link.
+    """
     edges = set(edges)
-    incident: dict[int, set[int]] = {}
+    degree: dict[int, int] = {}
+    link: dict[int, int] = {}
     for eid in edges:
         u, v, _ = network.edges[eid]
-        incident.setdefault(u, set()).add(eid)
-        incident.setdefault(v, set()).add(eid)
-    while True:
-        leaf = None
-        for v in sorted(incident):
-            if v not in keep and len(incident[v]) == 1:
-                leaf = v
-                break
-        if leaf is None:
-            return edges
-        eid = incident[leaf].pop()
-        del incident[leaf]
+        for x in (u, v):
+            degree[x] = degree.get(x, 0) + 1
+            link[x] = link.get(x, 0) ^ eid
+    leaves = [x for x, d in degree.items() if d == 1 and x not in keep]
+    while leaves:
+        leaf = leaves.pop()
+        if degree[leaf] != 1:
+            continue  # its last edge went with the other endpoint
+        eid = link[leaf]
         edges.remove(eid)
         u, v, _ = network.edges[eid]
         other = v if u == leaf else u
-        incident[other].discard(eid)
-        if not incident[other] and other not in keep:
-            del incident[other]
+        degree[leaf] = 0
+        degree[other] -= 1
+        link[other] ^= eid
+        if degree[other] == 1 and other not in keep:
+            leaves.append(other)
+    return edges
 
 
 def rsph(
@@ -346,7 +353,16 @@ def rsph(
 ) -> SteinerTree:
     """Repeated shortest path heuristic: grow a tree from ``start`` by
     repeatedly attaching the terminal nearest to the current tree, then prune
-    non-terminal leaves.  Returns a feasible tree, hence an upper bound."""
+    non-terminal leaves.  Returns a feasible tree, hence an upper bound.
+
+    One distance-to-tree list serves every attachment: after a path joins
+    the tree, a Dijkstra from its new vertices lowers what they improve.
+    The next terminal is the remaining one with the smallest (distance, id),
+    and its path is retraced by stepping, at every vertex, to the tight
+    neighbor with the smallest (distance, id).  Costs are positive, so a
+    Dijkstra restarted from the whole tree, popping in (distance, id) order,
+    would pick that terminal and record exactly those predecessors.
+    """
     net = instance.network
     terms = instance.terminals
     if start is None:
@@ -357,74 +373,66 @@ def rsph(
     if allowed is not None and not terms <= allowed:
         raise InputError("restriction set must contain every terminal")
 
-    tree_vertices = {start}
+    inf = net.total_cost + 1
+    dist = [inf] * net.vertex_count
     tree_edges: set[int] = set()
-    remaining = set(terms) - {start}
-    while remaining:
-        dist = {v: 0 for v in tree_vertices}
-        pred: dict[int, tuple[int, int]] = {}
-        heap = [(0, v) for v in sorted(tree_vertices)]
+    remaining = set(terms)
+    fresh = [start]
+    while True:
+        for v in fresh:
+            dist[v] = 0
+        heap = [(0, v) for v in fresh]
         heapq.heapify(heap)
-        reached = None
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            if u in remaining:
-                reached = u
-                break
-            for v, cost, eid in net.adjacency[u]:
-                if allowed is not None and v not in allowed:
-                    continue
+            for v, cost, _ in net.adjacency[u]:
                 nd = d + cost
-                if v not in dist or nd < dist[v]:
+                if nd < dist[v] and (allowed is None or v in allowed):
                     dist[v] = nd
-                    pred[v] = (u, eid)
                     heapq.heappush(heap, (nd, v))
-        if reached is None:
+        remaining.difference_update(fresh)
+        if not remaining:
+            break
+        x = min(remaining, key=lambda z: (dist[z], z))
+        if dist[x] == inf:
             raise InputError("restriction set does not connect the terminals")
-        x = reached
-        while x not in tree_vertices:
-            u, eid = pred[x]
-            tree_vertices.add(x)
+        fresh = []
+        while dist[x]:
+            _, u, eid = min(
+                (dist[u], u, eid)
+                for u, cost, eid in net.adjacency[x]
+                if dist[u] + cost == dist[x]
+            )
+            fresh.append(x)
             tree_edges.add(eid)
             x = u
-        remaining -= tree_vertices
     tree_edges = _prune_leaves(net, tree_edges, terms)
     return SteinerTree.from_edges(net, tree_edges, start)
 
 
-def _induced_mst_pruned(
-    network: Network, vertices: set[int], keep: frozenset[int]
-) -> Optional[set[int]]:
-    """MST of the induced subgraph, leaf-pruned; None if it cannot span."""
-    inside = vertices
-    cand = [
-        eid
-        for eid, (u, v, _) in enumerate(network.edges)
-        if u in inside and v in inside
-    ]
-    cand.sort(key=lambda e: (network.edges[e][2], e))
-    parent = {v: v for v in inside}
+def _kruskal(network: Network, edge_ids: Iterable[int]) -> set[int]:
+    """Minimum spanning forest of the given edges.  Ties go to the smaller
+    edge id, so under this strict (cost, id) order the result is unique."""
+    parent: dict[int, int] = {}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(x):  # roots are absent from ``parent``
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
     chosen = set()
-    merged = 0
-    for eid in cand:
+    for eid in sorted(edge_ids, key=lambda e: (network.edges[e][2], e)):
         u, v, _ = network.edges[eid]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             chosen.add(eid)
-            merged += 1
-    if merged != len(inside) - 1:
-        return None
-    return _prune_leaves(network, chosen, keep)
+    return chosen
 
 
 def _tree_adjacency(network: Network, edges: Iterable[int]):
@@ -463,6 +471,12 @@ def local_search(instance: Instance, tree: SteinerTree) -> SteinerTree:
 
     Repeats full passes until neither move lowers the cost; the result is a
     valid tree of cost at most the input cost.
+
+    Key-vertex insertion tries the vertices v outside the tree's vertex set
+    tv in id order; v's candidate is MST(G[tv + v]), leaf-pruned, under the
+    strict (cost, edge id) order that makes every MST unique.  By the cycle
+    property an edge outside MST(G[tv]) stays out once v joins, so
+    MST(G[tv + v]) is the MST of MST(G[tv]) plus v's edges into tv.
     """
     net = instance.network
     terms = instance.terminals
@@ -478,19 +492,28 @@ def local_search(instance: Instance, tree: SteinerTree) -> SteinerTree:
     while improved:
         improved = False
 
-        # Key-vertex insertion: connect one outside vertex, rebuild an MST
-        # over the enlarged vertex set and prune.
+        # Key-vertex insertion.  A v with one edge into tv is a leaf of
+        # MST(G[tv + v]) and pruned again; one with none cannot be connected.
         tv = _tree_vertices(net, best)
+        span = _kruskal(
+            net,
+            (eid for x in tv for y, _, eid in net.adjacency[x] if x < y and y in tv),
+        )
+        leafed = _prune_leaves(net, span, terms)
         for v in range(net.vertex_count):
             if v in tv:
                 continue
-            cand = _induced_mst_pruned(net, tv | {v}, terms)
-            if cand is not None:
-                c = cost_of(cand)
-                if c < best_cost:
-                    best, best_cost = cand, c
-                    improved = True
-                    break
+            star = [eid for y, _, eid in net.adjacency[v] if y in tv]
+            if not star:
+                continue
+            cand = leafed
+            if len(star) > 1:
+                cand = _prune_leaves(net, _kruskal(net, [*span, *star]), terms)
+            c = cost_of(cand)
+            if c < best_cost:
+                best, best_cost = cand, c
+                improved = True
+                break
         if improved:
             continue
 

@@ -249,52 +249,6 @@ def distance_matrix(network: Network) -> tuple[list[int], ...]:
     return cached
 
 
-def distance_network(network: Network, subset: Iterable[int]) -> Network:
-    """Complete graph on ``subset`` with shortest-path distances as costs.
-
-    Vertex ``i`` of the result corresponds to ``sorted(subset)[i]``.
-    """
-    members = sorted(set(subset))
-    if not members:
-        raise InputError("distance network needs a non-empty vertex subset")
-    for u in members:
-        if not 0 <= u < network.vertex_count:
-            raise InputError(f"invalid vertex {u} in subset")
-    if len(members) == 1:
-        return Network(1, [])
-    edges = []
-    for i, u in enumerate(members):
-        row = shortest_path_distances(network, u)
-        for j in range(i + 1, len(members)):
-            edges.append((i, j, row[members[j]]))
-    return Network(len(members), edges)
-
-
-def minimum_spanning_tree(network: Network) -> tuple[tuple[int, ...], int]:
-    """Kruskal MST; returns (edge ids, total cost).  Raises if disconnected."""
-    parent = list(range(network.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    total = 0
-    order = sorted(range(len(network.edges)), key=lambda e: (network.edges[e][2], e))
-    for eid in order:
-        u, v, cost = network.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(eid)
-            total += cost
-    if len(chosen) != network.vertex_count - 1:
-        raise InputError("minimum spanning tree of a disconnected network")
-    return tuple(chosen), total
-
-
 def mst_over_points(count: int, dist) -> tuple[int, list[tuple[int, int, int]]]:
     """Prim MST over ``count`` points with ``dist(i, j)`` costs.
 
@@ -411,9 +365,6 @@ class BottleneckOracle:
                         stack.append(y)
             self._bottleneck[z] = maxedge
             self._path_edges[z] = pedges
-
-    def terminal_bottleneck(self, z1: int, z2: int) -> int:
-        return self._bottleneck[z1][z2]
 
     def _segment_from_endpoint_ok(self, endpoint_dist, other_dist, edge_cost) -> bool:
         # A cheapest path leaving an endpoint of the excluded edge can use

@@ -368,28 +368,52 @@ class _Working:
             self.remove_edge(u, v)
         removed += len(doomed)
         # Ties against the restricted distance only guarantee that *some*
-        # optimal tree avoids the edge, so apply them one per fresh oracle.
+        # optimal tree avoids the edge, so apply them one at a time, each
+        # against an oracle for the current graph.  A removal that keeps
+        # every terminal's distances keeps that oracle exact (its rows,
+        # nearest terminals and terminal MST come from them), so the scan
+        # resumes where it stopped: the earlier edges fail again.  Only the
+        # sentinel shrinks, by the removed cost.
+        fresh = None
         for _ in range(16):
             if len(self.terminals) <= 1:
                 break
-            self.restrict_to_terminal_component()
-            inst, order = self.snapshot()
-            pos = {v: i for i, v in enumerate(order)}
-            fresh = BottleneckOracle(inst.network, inst.terminals, nearest_k)
-            sentinel = inst.network.total_cost
-            fired = False
-            for u, v, c in self.edge_list():
+            if fresh is None:
+                self.restrict_to_terminal_component()
+                inst, order = self.snapshot()
+                pos = {v: i for i, v in enumerate(order)}
+                fresh = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+                sentinel = inst.network.total_cost
+                resume = 0
+            live = self.edge_list()
+            for i in range(resume, len(live)):
+                u, v, c = live[i]
                 alt = fresh.query(pos[u], pos[v], exclude_direct_edge=True)
-                if alt >= sentinel:
-                    continue  # no certified alternative route
-                if c >= alt:
+                if alt < sentinel and c >= alt:  # sentinel: no certified route
                     self.remove_edge(u, v)
                     removed += 1
-                    fired = True
+                    if self._keeps_distances(fresh.rows.values(), pos, u, v, c):
+                        resume, sentinel = i, sentinel - c
+                    else:
+                        fresh = None
                     break
-            if not fired:
+            else:
                 break
         return removed
+
+    def _keeps_distances(self, rows, pos, u: int, v: int, cost: int) -> bool:
+        """Whether deleting the edge {u, v} of ``cost``, already gone from
+        the graph, left every row's distances as they were.  It did if,
+        wherever the edge was tight (``row[x] + cost == row[y]``), the far
+        end y still has a tight neighbor."""
+        for row in rows:
+            for x, y in ((u, v), (v, u)):
+                dy = row[pos[y]]
+                if row[pos[x]] + cost == dy and not any(
+                    row[pos[w]] + cw == dy for w, (cw, _) in self.adj[y].items()
+                ):
+                    return False
+        return True
 
     def ntdk(
         self,

@@ -96,6 +96,27 @@ def random_instance(rng, min_n=4, max_n=14, min_t=2, max_t=6, max_cost=20):
     return Instance(Network(n, edges), frozenset(terms))
 
 
+def random_grid(
+    rng, min_side=4, max_side=9, costs=(1, 2), max_chords=0, min_t=3, max_t=8
+):
+    """A w x h grid with edge costs drawn from ``costs`` and up to
+    ``max_chords`` random chords; with few distinct costs, equal-length
+    paths and tied edges are common."""
+    width, height = rng.randint(min_side, max_side), rng.randint(min_side, max_side)
+    n = width * height
+    edges = []
+    for v in range(n):
+        if v % width + 1 < width:
+            edges.append((v, v + 1, rng.choice(costs)))
+        if v + width < n:
+            edges.append((v, v + width, rng.choice(costs)))
+    for _ in range(rng.randint(0, max_chords) if max_chords else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.choice(costs)))
+    terms = rng.sample(range(n), rng.randint(min_t, min(max_t, n)))
+    return Instance(Network(n, edges), frozenset(terms))
+
+
 MAIN_CORPUS_SEED = 20260808
 SMALL_CORPUS_SEED = 90301
 REDUCTION_CORPUS_SEED = 424242

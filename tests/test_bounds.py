@@ -21,8 +21,9 @@ from stpsolve import (
     validate_tree,
     zero_heuristic,
 )
-from stpsolve.bounds import best_root_run
-from conftest import random_instance
+from stpsolve import SteinerTree
+from stpsolve.bounds import _prune_leaves, _spread, best_root_run
+from conftest import random_grid, random_instance
 
 
 def csmt(instance, terminals):
@@ -363,3 +364,253 @@ class TestSelectRoot:
         net = Network(4, [(0, 1, 5), (0, 2, 5), (0, 3, 5)])
         inst = Instance(net, frozenset({1, 2, 3}))
         assert select_root(inst) == 1
+
+
+# Reference upper-bound layer: the restarting RSPH, the sorting leaf pruner
+# and the per-vertex induced-MST key-vertex insertion, kept as they were
+# before the incremental versions replaced them.
+
+
+def reference_prune_leaves(network, edges, keep):
+    edges = set(edges)
+    incident = {}
+    for eid in edges:
+        u, v, _ = network.edges[eid]
+        incident.setdefault(u, set()).add(eid)
+        incident.setdefault(v, set()).add(eid)
+    while True:
+        leaf = None
+        for v in sorted(incident):
+            if v not in keep and len(incident[v]) == 1:
+                leaf = v
+                break
+        if leaf is None:
+            return edges
+        eid = incident[leaf].pop()
+        del incident[leaf]
+        edges.remove(eid)
+        u, v, _ = network.edges[eid]
+        other = v if u == leaf else u
+        incident[other].discard(eid)
+        if not incident[other] and other not in keep:
+            del incident[other]
+
+
+def reference_rsph(instance, within, start):
+    """A Dijkstra from the whole tree for every attachment."""
+    net = instance.network
+    terms = instance.terminals
+    allowed = None if within is None else frozenset(within)
+    tree_vertices = {start}
+    tree_edges = set()
+    remaining = set(terms) - {start}
+    while remaining:
+        dist = {v: 0 for v in tree_vertices}
+        pred = {}
+        heap = [(0, v) for v in sorted(tree_vertices)]
+        heapq.heapify(heap)
+        reached = None
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u in remaining:
+                reached = u
+                break
+            for v, cost, eid in net.adjacency[u]:
+                if allowed is not None and v not in allowed:
+                    continue
+                nd = d + cost
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = (u, eid)
+                    heapq.heappush(heap, (nd, v))
+        x = reached
+        while x not in tree_vertices:
+            u, eid = pred[x]
+            tree_vertices.add(x)
+            tree_edges.add(eid)
+            x = u
+        remaining -= tree_vertices
+    tree_edges = reference_prune_leaves(net, tree_edges, terms)
+    return SteinerTree.from_edges(net, tree_edges, start)
+
+
+def reference_induced_mst_pruned(network, vertices, keep):
+    cand = [
+        eid
+        for eid, (u, v, _) in enumerate(network.edges)
+        if u in vertices and v in vertices
+    ]
+    cand.sort(key=lambda e: (network.edges[e][2], e))
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = set()
+    for eid in cand:
+        u, v, _ = network.edges[eid]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.add(eid)
+    if len(chosen) != len(vertices) - 1:
+        return None
+    return reference_prune_leaves(network, chosen, keep)
+
+
+def reference_local_search(instance, tree):
+    net = instance.network
+    terms = instance.terminals
+    best = set(tree.edges)
+    best_cost = tree.cost
+    if not best:
+        return tree
+
+    def cost_of(edges):
+        return sum(net.cost_of(e) for e in edges)
+
+    def adjacency_of(edges):
+        adj = {}
+        for eid in edges:
+            u, v, _ = net.edges[eid]
+            adj.setdefault(u, []).append((v, eid))
+            adj.setdefault(v, []).append((u, eid))
+        return adj
+
+    def vertices_of(edges):
+        return {x for eid in edges for x in net.edges[eid][:2]}
+
+    def key_paths(edges):
+        adj = adjacency_of(edges)
+        key = {v for v in adj if v in terms or len(adj[v]) >= 3}
+        paths = []
+        seen = set()
+        for a in sorted(key):
+            for nbr, eid in sorted(adj[a]):
+                if eid in seen:
+                    continue
+                path = [eid]
+                cur = nbr
+                while cur not in key:
+                    n, e = [(n, e) for n, e in sorted(adj[cur]) if e != path[-1]][0]
+                    path.append(e)
+                    cur = n
+                seen.update(path)
+                paths.append((a, cur, tuple(path)))
+        return paths
+
+    improved = True
+    while improved:
+        improved = False
+        tv = vertices_of(best)
+        for v in range(net.vertex_count):
+            if v in tv:
+                continue
+            cand = reference_induced_mst_pruned(net, tv | {v}, terms)
+            if cand is not None and cost_of(cand) < best_cost:
+                best, best_cost = cand, cost_of(cand)
+                improved = True
+                break
+        if improved:
+            continue
+        for a, b, path in key_paths(best):
+            path_cost = sum(net.cost_of(e) for e in path)
+            kept = best - set(path)
+            adj_kept = adjacency_of(kept)
+            comp_a = {a}
+            stack = [a]
+            while stack:
+                x = stack.pop()
+                for y, _ in adj_kept.get(x, ()):
+                    if y not in comp_a:
+                        comp_a.add(y)
+                        stack.append(y)
+            comp_b = (vertices_of(kept) | {b}) - comp_a
+            dist = {v: 0 for v in comp_a}
+            pred = {}
+            heap = [(0, v) for v in sorted(comp_a)]
+            heapq.heapify(heap)
+            hit = None
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                if u in comp_b:
+                    hit = u
+                    break
+                for w, cost, eid in net.adjacency[u]:
+                    nd = d + cost
+                    if w not in dist or nd < dist[w]:
+                        dist[w] = nd
+                        pred[w] = (u, eid)
+                        heapq.heappush(heap, (nd, w))
+            if hit is None or dist[hit] >= path_cost:
+                continue
+            new_path = set()
+            x = hit
+            while x not in comp_a:
+                u, eid = pred[x]
+                new_path.add(eid)
+                x = u
+            best = kept | new_path
+            best_cost = cost_of(best)
+            improved = True
+            break
+    return SteinerTree.from_edges(net, best, tree.root)
+
+
+def reference_pipeline(instance, run):
+    terms = sorted(instance.terminals)
+    candidates = [reference_rsph(instance, None, s) for s in _spread(terms, 16)]
+    candidates.append(reference_rsph(instance, run.root_component, run.root))
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if cand.cost < best.cost:
+            best = cand
+    return reference_local_search(instance, best)
+
+
+class TestIncrementalUpperBounds:
+    """The incremental RSPH, the worklist leaf pruner and the MST-plus-star
+    key-vertex insertion return exactly the reference trees."""
+
+    def assert_same_trees(self, inst):
+        run = best_root_run(inst)
+        starts = [(None, s) for s in sorted(inst.terminals)]
+        starts.append((run.root_component, run.root))
+        for within, start in starts:
+            got = rsph(inst, within, start)
+            want = reference_rsph(inst, within, start)
+            assert got.edges == want.edges
+            assert local_search(inst, got).edges == reference_local_search(
+                inst, want
+            ).edges
+        got = upper_bound_pipeline(inst, run.root, run)
+        assert got.edges == reference_pipeline(inst, run).edges
+
+    def test_random_instances(self):
+        rng = random.Random(131)
+        for _ in range(400):
+            self.assert_same_trees(random_instance(rng))
+
+    def test_grids_with_tied_costs(self):
+        rng = random.Random(137)
+        for _ in range(60):
+            self.assert_same_trees(random_grid(rng))
+
+    def test_prune_leaves_on_random_trees(self):
+        rng = random.Random(139)
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            net = Network(n, [(v, rng.randrange(v), rng.randint(1, 5)) for v in range(1, n)])
+            edges = set(rng.sample(range(n - 1), rng.randint(0, n - 1)))
+            keep = frozenset(rng.sample(range(n), rng.randint(0, min(n, 6))))
+            assert _prune_leaves(net, edges, keep) == reference_prune_leaves(
+                net, edges, keep
+            )
+

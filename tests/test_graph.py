@@ -12,12 +12,11 @@ from stpsolve import (
     SteinerTree,
     TerminalMissing,
     UnknownEdge,
-    distance_network,
-    minimum_spanning_tree,
     shortest_path_distances,
     validate_tree,
     voronoi_partition,
 )
+from stpsolve.graph import mst_over_points
 from conftest import brute_force_bottleneck, random_instance
 
 
@@ -75,61 +74,89 @@ class TestShortestPaths:
                 assert rows[u][w] <= rows[u][v] + rows[v][w]
 
 
+def distance_costs(network, subset):
+    """Shortest-path distance of every pair of ``subset``, keyed by the
+    pair's positions in sorted order."""
+    members = sorted(subset)
+    rows = [shortest_path_distances(network, u) for u in members]
+    return {
+        (i, j): rows[i][members[j]]
+        for i, j in itertools.combinations(range(len(members)), 2)
+    }
+
+
+def graph_mst(network):
+    """``mst_over_points`` over the network's vertices; a missing edge
+    costs more than all edges together."""
+    missing = network.total_cost + 1
+
+    def cost(i, j):
+        eid = network.edge_between(i, j)
+        return missing if eid is None else network.cost_of(eid)
+
+    return mst_over_points(network.vertex_count, cost)
+
+
 class TestDistanceNetwork:
     def test_star_terminals(self, fix_star):
-        dn = distance_network(fix_star.network, {1, 2, 3})
-        assert sorted(c for _, _, c in dn.edges) == [5, 6, 7]
+        costs = distance_costs(fix_star.network, {1, 2, 3})
+        assert sorted(costs.values()) == [5, 6, 7]
 
     def test_path_pair(self, fix_path):
-        dn = distance_network(fix_path.network, {0, 2})
-        assert dn.edges == ((0, 1, 5),)
+        assert distance_costs(fix_path.network, {0, 2}) == {(0, 1): 5}
 
     def test_k4_triple(self, fix_k4):
-        dn = distance_network(fix_k4.network, {0, 1, 3})
-        # vertices follow sorted member order: 0->a, 1->b, 2->d
-        costs = {(u, v): c for u, v, c in dn.edges}
+        # positions follow sorted member order: 0->a, 1->b, 2->d
+        costs = distance_costs(fix_k4.network, {0, 1, 3})
         assert costs == {(0, 1): 1, (0, 2): 16, (1, 2): 15}
 
     def test_empty_subset_rejected(self, fix_path):
+        # nothing to span without points; a vertex outside the network is
+        # rejected
+        assert distance_costs(fix_path.network, set()) == {}
+        assert mst_over_points(0, None) == (0, [])
         with pytest.raises(InputError):
-            distance_network(fix_path.network, set())
+            shortest_path_distances(fix_path.network, -1)
 
     def test_idempotent_on_metric_graphs(self):
         rng = random.Random(11)
         for _ in range(10):
             inst = random_instance(rng, max_n=9)
             subset = sorted(inst.terminals)
-            once = distance_network(inst.network, subset)
-            twice = distance_network(once, range(len(subset)))
-            assert once.edges == twice.edges
+            once = distance_costs(inst.network, subset)
+            closure = Network(len(subset), [(i, j, c) for (i, j), c in once.items()])
+            twice = distance_costs(closure, range(len(subset)))
+            assert once == twice
 
 
 class TestMinimumSpanningTree:
     def test_path(self, fix_path):
-        edges, cost = minimum_spanning_tree(fix_path.network)
+        cost, edges = graph_mst(fix_path.network)
         assert cost == 5 and len(edges) == 2
 
     def test_star_distance_network(self, fix_star):
-        dn = distance_network(fix_star.network, {1, 2, 3})
-        _, cost = minimum_spanning_tree(dn)
+        costs = distance_costs(fix_star.network, {1, 2, 3})
+        cost, _ = mst_over_points(3, lambda i, j: costs[min(i, j), max(i, j)])
         assert cost == 11
 
     def test_k4(self, fix_k4):
-        edges, cost = minimum_spanning_tree(fix_k4.network)
+        cost, edges = graph_mst(fix_k4.network)
         assert cost == 27
-        picked = {fix_k4.network.edges[e][:2] for e in edges}
+        picked = {(min(i, j), max(i, j)) for i, j, _ in edges}
         assert picked == {(0, 1), (1, 2), (1, 3)}
 
     def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
-            minimum_spanning_tree(Network(3, [(0, 1, 1)]))
+        # no spanning tree of a disconnected network avoids a missing edge
+        net = Network(3, [(0, 1, 1)])
+        cost, _ = graph_mst(net)
+        assert cost > net.total_cost
 
     def test_matches_brute_force_on_small_graphs(self):
         rng = random.Random(13)
         for _ in range(25):
             inst = random_instance(rng, min_n=3, max_n=6, max_cost=9)
             net = inst.network
-            _, cost = minimum_spanning_tree(net)
+            cost, _ = graph_mst(net)
             n = net.vertex_count
             best = None
             for combo in itertools.combinations(range(len(net.edges)), n - 1):

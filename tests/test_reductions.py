@@ -28,7 +28,7 @@ from stpsolve import (
 from stpsolve.bounds import best_root_run
 from stpsolve.graph import mst_over_points
 from stpsolve.reductions import PipelineConfig, _Working
-from conftest import random_instance
+from conftest import random_grid, random_instance
 
 
 def reduced_optimum(pre):
@@ -204,20 +204,7 @@ def restarting_ntdk_test(instance):
 def random_cost_grid(rng):
     """A w x h grid (6..12 per side) with costs from {1, 2, 5, 20}, up to
     four random chords and 3..10 terminals."""
-    width, height = rng.randint(6, 12), rng.randint(6, 12)
-    costs = (1, 2, 5, 20)
-    n = width * height
-    edges = []
-    for v in range(n):
-        if v % width + 1 < width:
-            edges.append((v, v + 1, rng.choice(costs)))
-        if v + width < n:
-            edges.append((v, v + width, rng.choice(costs)))
-    for _ in range(rng.randint(0, 4)):
-        u, v = rng.sample(range(n), 2)
-        edges.append((u, v, rng.choice(costs)))
-    terminals = frozenset(rng.sample(range(n), rng.randint(3, 10)))
-    return Instance(Network(n, edges), terminals)
+    return random_grid(rng, 6, 12, (1, 2, 5, 20), max_chords=4, min_t=3, max_t=10)
 
 
 class TestNtdkWorklist:
@@ -254,6 +241,72 @@ class TestNtdkWorklist:
             assert got.changed == want.changed
             assert got.reduced.network.edges == want.reduced.network.edges
             assert got.log.records == want.log.records
+
+
+def rebuilding_steiner_distance(w, nearest_k=3):
+    """Reference Steiner-distance test: a fresh snapshot and oracle after
+    every tie removal, then a new scan from the first edge."""
+    if len(w.terminals) <= 1:
+        return 0
+    removed = 0
+    w.restrict_to_terminal_component()
+    inst, order = w.snapshot()
+    pos = {v: i for i, v in enumerate(order)}
+    oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+    doomed = [
+        (u, v) for u, v, c in w.edge_list() if c > oracle.query(pos[u], pos[v])
+    ]
+    for u, v in doomed:
+        w.remove_edge(u, v)
+    removed += len(doomed)
+    for _ in range(16):
+        if len(w.terminals) <= 1:
+            break
+        w.restrict_to_terminal_component()
+        inst, order = w.snapshot()
+        pos = {v: i for i, v in enumerate(order)}
+        fresh = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+        sentinel = inst.network.total_cost
+        fired = False
+        for u, v, c in w.edge_list():
+            alt = fresh.query(pos[u], pos[v], exclude_direct_edge=True)
+            if alt >= sentinel:
+                continue
+            if c >= alt:
+                w.remove_edge(u, v)
+                removed += 1
+                fired = True
+                break
+        if not fired:
+            break
+    return removed
+
+
+class TestSteinerDistanceOracleReuse:
+    """Keeping the oracle across distance-preserving tie removals makes the
+    same removals, in the same order, as rebuilding it after each one."""
+
+    def assert_same(self, instances, min_multi):
+        multi = 0
+        for inst in instances:
+            w = _Working(inst)
+            changed = rebuilding_steiner_distance(w)
+            want = w.finalize({}, changed)
+            got = steiner_distance_test(inst)
+            assert got.changed == want.changed
+            assert got.reduced.network.edges == want.reduced.network.edges
+            assert got.reduced.terminals == want.reduced.terminals
+            assert got.log.records == want.log.records
+            multi += want.changed >= 2
+        assert multi >= min_multi  # the corpus exercises repeated removals
+
+    def test_random_instances(self):
+        rng = random.Random(149)
+        self.assert_same([random_instance(rng) for _ in range(600)], 250)
+
+    def test_grids_with_tied_costs(self):
+        rng = random.Random(151)
+        self.assert_same([random_grid(rng, max_side=7) for _ in range(600)], 500)
 
 
 class TestDualAscentElimination:
