@@ -45,6 +45,7 @@ from .bounds import (
     one_tree_heuristic,
     rsph,
     select_root,
+    spread_rsph,
     upper_bound_pipeline,
     zero_heuristic,
 )
@@ -52,6 +53,7 @@ from .reductions import (
     PipelineConfig,
     PreprocessResult,
     ReductionLog,
+    SolveContext,
     contract_edge,
     dual_ascent_elimination,
     long_edge_test,

@@ -18,6 +18,7 @@ from .graph import (
     Network,
     SteinerTree,
     arc_layout,
+    check_deadline,
     shortest_path_distances,
     mst_over_points,
 )
@@ -435,6 +436,13 @@ def _kruskal(network: Network, edge_ids: Iterable[int]) -> set[int]:
     return chosen
 
 
+def pruned_mst(network: Network, edge_ids: Iterable[int], keep) -> set[int]:
+    """Minimum spanning forest of the given edges, leaf-pruned down to the
+    ``keep`` vertices it touches; on a connected edge set that touches every
+    vertex of ``keep``, a Steiner tree for them costing at most those edges."""
+    return _prune_leaves(network, _kruskal(network, edge_ids), keep)
+
+
 def _tree_adjacency(network: Network, edges: Iterable[int]):
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in edges:
@@ -466,11 +474,14 @@ def _key_paths(network: Network, edges: set[int], terminals: frozenset[int]):
     return paths
 
 
-def local_search(instance: Instance, tree: SteinerTree) -> SteinerTree:
+def local_search(
+    instance: Instance, tree: SteinerTree, deadline: Optional[float] = None
+) -> SteinerTree:
     """Improve a tree by key-vertex insertion and key-path exchange.
 
     Repeats full passes until neither move lowers the cost; the result is a
-    valid tree of cost at most the input cost.
+    valid tree of cost at most the input cost.  ``deadline`` is checked
+    before every pass.
 
     Key-vertex insertion tries the vertices v outside the tree's vertex set
     tv in id order; v's candidate is MST(G[tv + v]), leaf-pruned, under the
@@ -490,6 +501,7 @@ def local_search(instance: Instance, tree: SteinerTree) -> SteinerTree:
 
     improved = True
     while improved:
+        check_deadline(deadline)
         improved = False
 
         # Key-vertex insertion.  A v with one edge into tv is a leaf of
@@ -508,7 +520,7 @@ def local_search(instance: Instance, tree: SteinerTree) -> SteinerTree:
                 continue
             cand = leafed
             if len(star) > 1:
-                cand = _prune_leaves(net, _kruskal(net, [*span, *star]), terms)
+                cand = pruned_mst(net, [*span, *star], terms)
             c = cost_of(cand)
             if c < best_cost:
                 best, best_cost = cand, c
@@ -579,37 +591,74 @@ def _spread(items: list[int], cap: int) -> list[int]:
     return picked
 
 
+def spread_rsph(
+    instance: Instance, deadline: Optional[float] = None
+) -> list[SteinerTree]:
+    """RSPH trees from up to 16 start terminals spread over the sorted
+    terminals; ``deadline`` is checked between starts."""
+    trees = []
+    for s in _spread(sorted(instance.terminals), 16):
+        check_deadline(deadline)
+        trees.append(rsph(instance, None, s))
+    return trees
+
+
 def upper_bound_pipeline(
-    instance: Instance, root: int, run: Optional[DualAscentResult] = None
+    instance: Instance,
+    root: int,
+    run: Optional[DualAscentResult] = None,
+    starts: Optional[list[SteinerTree]] = None,
+    deadline: Optional[float] = None,
 ) -> SteinerTree:
     """Best tree among RSPH runs on the full graph and on the dual-ascent
-    root component, post-processed by local search.  ``run`` may hand in the
-    ``dual_ascent(instance, root)`` result, which then is not recomputed."""
+    root component, post-processed by local search.
+
+    ``run`` may hand in the ``dual_ascent(instance, root)`` result and
+    ``starts`` the full-graph trees (``spread_rsph``, or fewer); neither is
+    then recomputed.  Local search is skipped when the best tree already
+    costs ``run.lower_bound``: no tree is cheaper, and local search only
+    accepts strict improvements.
+    """
     if run is None:
         run = dual_ascent(instance, root)
-    terms = sorted(instance.terminals)
-    candidates = [rsph(instance, None, s) for s in _spread(terms, 16)]
-    candidates.append(rsph(instance, run.root_component, root))
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.cost < best.cost:
-            best = cand
-    return local_search(instance, best)
+    if starts is None:
+        starts = spread_rsph(instance, deadline)
+    check_deadline(deadline)
+    best = rsph(instance, run.root_component, root)
+    if starts:
+        first = min(starts, key=lambda t: t.cost)  # the earliest of the cheapest
+        if first.cost <= best.cost:
+            best = first
+    if best.cost == run.lower_bound:
+        return best
+    return local_search(instance, best, deadline)
 
 
-def best_root_run(instance: Instance) -> DualAscentResult:
+def best_root_run(
+    instance: Instance,
+    stop_at: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> DualAscentResult:
     """The dual-ascent run with the highest bound among up to 50 terminal
-    roots spread over the sorted terminals; ties to the smallest root id."""
+    roots spread over the sorted terminals; ties to the smallest root id.
+
+    With ``stop_at`` the loop returns the first run whose bound reaches it.
+    When ``stop_at`` is an upper bound no later run can beat that one, so
+    the result is the same.  ``deadline`` is checked before every run.
+    """
     best = None
     for r in _spread(sorted(instance.terminals), 50):
+        check_deadline(deadline)
         run = dual_ascent(instance, r)
         if best is None or run.lower_bound > best.lower_bound:
             best = run
+            if stop_at is not None and best.lower_bound >= stop_at:
+                break
     return best
 
 
-def select_root(instance: Instance) -> int:
+def select_root(instance: Instance, deadline: Optional[float] = None) -> int:
     """Terminal whose dual-ascent bound is highest; ties to the smallest id."""
     if len(instance.terminals) == 1:
         return min(instance.terminals)
-    return best_root_run(instance).root
+    return best_root_run(instance, deadline=deadline).root

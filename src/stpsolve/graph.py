@@ -8,6 +8,7 @@ quantity computed here stays a plain int.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -38,6 +39,21 @@ class UnknownEdge(StpError):
 
 class InternalError(StpError):
     """Invariant violation inside the solver; indicates a bug."""
+
+
+class SolveTimeout(Exception):
+    """Raised internally when a cooperative deadline passes.  ``search``
+    carries the search counters when it fired inside the search."""
+
+    def __init__(self, search=None):
+        super().__init__()
+        self.search = search
+
+
+def check_deadline(deadline: Optional[float]):
+    """Raise ``SolveTimeout`` once ``time.monotonic()`` is past ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout()
 
 
 class Network:

@@ -11,7 +11,6 @@ to an original solution by unioning provenances with the forced paths.
 from __future__ import annotations
 
 import heapq
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -24,15 +23,11 @@ from .graph import (
     InternalError,
     Network,
     SteinerTree,
-    shortest_path_distances,
+    check_deadline,
     mst_over_points,
     voronoi_partition,
 )
 from . import bounds as _bounds
-
-
-class SolveTimeout(Exception):
-    """Raised internally when a cooperative deadline passes."""
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,52 @@ class PreprocessResult:
     stats: dict
     vertex_image: dict[int, Optional[int]]
     changed: int
-    # Root selection's dual-ascent run on ``reduced``, when the last
-    # dual-ascent elimination round ran on exactly that graph.
-    root_run: Optional[_bounds.DualAscentResult] = None
+
+
+@dataclass
+class SolveContext:
+    """What one solve decides once and shares between reduction rounds.
+
+    ``root`` is the search root as an original vertex id, which is also its
+    working id in the reductions; a contracted root lives on in the vertex
+    it merged into.  ``incumbent`` holds the original edge ids of the
+    cheapest tree found so far and ``upper_bound`` its cost; ``lower_bound``
+    is the best proven bound on the optimum, in original costs.  Equal
+    bounds prove the incumbent optimal.  ``run`` is the last root run while
+    the working graph is still the one it ran on (``run_stamp`` counts the
+    reduction records made before it), else None.
+    """
+
+    root: Optional[int] = None
+    lower_bound: int = 0
+    upper_bound: Optional[int] = None
+    incumbent: frozenset[int] = frozenset()
+    run: Optional[_bounds.DualAscentResult] = None
+    run_stamp: int = 0
+
+    @property
+    def proven(self) -> bool:
+        return self.upper_bound == self.lower_bound
+
+    def offer(self, instance: Instance, edges: Iterable[int]):
+        """Make a tree of ``edges`` (original edge ids of a connected
+        subgraph that spans every terminal) the incumbent if it is cheaper.
+        The tree is their minimum spanning tree with non-terminal leaves
+        pruned, which costs at most the subgraph: expanded edges that share
+        provenance may close cycles."""
+        net = instance.network
+        tree = _bounds.pruned_mst(net, edges, instance.terminals)
+        cost = sum(net.cost_of(e) for e in tree)
+        if self.upper_bound is None or cost < self.upper_bound:
+            self.upper_bound, self.incumbent = cost, frozenset(tree)
+
+    def tree(self, instance: Instance) -> Optional[SteinerTree]:
+        """The incumbent as a tree of the original ``instance``, if any."""
+        if self.upper_bound is None:
+            return None
+        return SteinerTree.from_edges(
+            instance.network, self.incumbent, min(instance.terminals)
+        )
 
 
 @dataclass
@@ -93,17 +131,13 @@ class PipelineConfig:
     deadline: Optional[float] = None
 
 
-def _check_deadline(deadline: Optional[float]):
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeout()
-
-
 class _Working:
     """Mutable reduction state over the original vertex ids."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, context: Optional[SolveContext] = None):
         net = instance.network
         self.instance = instance
+        self.context = context if context is not None else SolveContext()
         self.alive: set[int] = set(range(net.vertex_count))
         self.terminals: set[int] = set(instance.terminals)
         # adj[u][v] = (cost, provenance as original edge ids)
@@ -118,8 +152,6 @@ class _Working:
         self.records: list = []
         self.forced: list[tuple[int, ...]] = []
         self.merged_into: dict[int, int] = {}
-        # (snapshot, best root run) of the last dual-ascent elimination.
-        self.root_run: Optional[tuple[Instance, _bounds.DualAscentResult]] = None
 
     # -- primitive mutations -------------------------------------------------
 
@@ -199,6 +231,12 @@ class _Working:
         return survivor
 
     # -- shared helpers ------------------------------------------------------
+
+    def survivor(self, v: int) -> int:
+        """The live vertex that ``v`` was contracted into, or ``v``."""
+        while v in self.merged_into:
+            v = self.merged_into[v]
+        return v
 
     def dijkstra(self, source: int, banned: Optional[int] = None) -> dict[int, int]:
         """Distances from ``source`` in the graph without vertex ``banned``."""
@@ -347,7 +385,10 @@ class _Working:
         return len(doomed)
 
     def steiner_distance(
-        self, nearest_k: int = 3, oracle: Optional[BottleneckOracle] = None
+        self,
+        nearest_k: int = 3,
+        oracle: Optional[BottleneckOracle] = None,
+        deadline: Optional[float] = None,
     ) -> int:
         if len(self.terminals) <= 1:
             return 0
@@ -379,6 +420,7 @@ class _Working:
             if len(self.terminals) <= 1:
                 break
             if fresh is None:
+                check_deadline(deadline)
                 self.restrict_to_terminal_component()
                 inst, order = self.snapshot()
                 pos = {v: i for i, v in enumerate(order)}
@@ -493,22 +535,84 @@ class _Working:
                 queued.add(w)
         return replaced
 
-    def dual_ascent_elimination(self, upper_bound: Optional[int] = None) -> int:
+    def offer(self, tree: SteinerTree, snapshot: Instance, order: list[int]):
+        """Offer a tree of ``snapshot`` to the context, expanded through the
+        provenance of its edges plus the forced paths."""
+        ctx = self.context
+        if ctx.upper_bound is not None and tree.cost + self.offset >= ctx.upper_bound:
+            return
+        edges = [eid for path in self.forced for eid in path]
+        for eid in tree.edges:
+            u, v, _ = snapshot.network.edges[eid]
+            edges.extend(self.adj[order[u]][order[v]][1])
+        ctx.offer(self.instance, edges)
+
+    def incumbent_on(
+        self, snapshot: Instance, order: list[int]
+    ) -> Optional[SteinerTree]:
+        """The context's incumbent as a tree of ``snapshot``: the snapshot
+        edges whose provenance lies inside it, when they still connect the
+        terminals (reductions may have cut a non-optimal incumbent)."""
+        inside = self.context.incumbent
+        net = snapshot.network
+        edges = [
+            eid
+            for eid, (u, v, _) in enumerate(net.edges)
+            if inside.issuperset(self.adj[order[u]][order[v]][1])
+        ]
+        tree = _bounds.pruned_mst(net, edges, snapshot.terminals)
+        spanned = {x for eid in tree for x in net.edges[eid][:2]}
+        if len(spanned) != len(tree) + 1 or not snapshot.terminals <= spanned:
+            return None
+        return SteinerTree.from_edges(net, tree, min(snapshot.terminals))
+
+    def dual_ascent_elimination(
+        self, upper_bound: Optional[int] = None, deadline: Optional[float] = None
+    ) -> int:
         """Delete vertices and edges whose dual-ascent bound exceeds the
-        upper bound.  Without ``upper_bound``, the upper-bound pipeline runs
-        on the snapshot, reusing root selection's dual-ascent run."""
+        upper bound.
+
+        Without ``upper_bound`` the bound is the context's incumbent,
+        improved by the upper-bound pipeline on the snapshot.  The first
+        round of a solve offers the best spread RSPH start before it picks
+        the root (unless the context has one), so root selection can stop
+        at a run that meets the incumbent.  Later rounds run one dual ascent
+        from the context root and hand the pipeline the incumbent instead
+        of the starts.  When the bounds meet the incumbent is optimal, and
+        the round deletes nothing.
+        """
         if len(self.terminals) <= 1:
             return 0
         self.restrict_to_terminal_component()
         inst, order = self.snapshot()
-        run = _bounds.best_root_run(inst)
-        self.root_run = (inst, run)
+        pos = {v: i for i, v in enumerate(order)}
+        ctx = self.context
+        starts = None
+        if upper_bound is None and ctx.run is None:
+            starts = _bounds.spread_rsph(inst, deadline)
+            self.offer(min(starts, key=lambda t: t.cost), inst, order)
+        elif upper_bound is None:
+            carried = self.incumbent_on(inst, order)
+            starts = [] if carried is None else [carried]
+        if ctx.root is None:
+            stop_at = upper_bound
+            if stop_at is None and ctx.upper_bound is not None:
+                stop_at = ctx.upper_bound - self.offset
+            run = _bounds.best_root_run(inst, stop_at, deadline)
+            ctx.root = order[run.root]
+        else:
+            run = _bounds.dual_ascent(inst, pos[self.survivor(ctx.root)])
+        ctx.run, ctx.run_stamp = run, len(self.records)
+        ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
         root = run.root
         if upper_bound is None:
-            upper_bound = _bounds.upper_bound_pipeline(inst, root, run).cost
+            tree = _bounds.upper_bound_pipeline(inst, root, run, starts, deadline)
+            self.offer(tree, inst, order)
+            if ctx.proven:
+                return 0
+            upper_bound = ctx.upper_bound - self.offset
         if upper_bound >= inst.network.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
-        pos = {v: i for i, v in enumerate(order)}
         net = inst.network
         lower = run.lower_bound
         reduced = run.reduced_cost
@@ -632,21 +736,12 @@ class _Working:
             offset=self.offset,
             edge_expansion=expansion,
         )
-        image: dict[int, Optional[int]] = {}
-        for v in range(self.instance.network.vertex_count):
-            x = v
-            while x in self.merged_into:
-                x = self.merged_into[x]
-            image[v] = pos.get(x)
-        root_run = None
-        if self.root_run is not None:
-            snap, run = self.root_run
-            if (
-                snap.network.vertex_count == net.vertex_count
-                and snap.network.edges == net.edges
-                and snap.terminals == reduced.terminals
-            ):
-                root_run = run
+        image = {
+            v: pos.get(self.survivor(v))
+            for v in range(self.instance.network.vertex_count)
+        }
+        if self.context.run_stamp != len(self.records):
+            self.context.run = None  # the graph changed after the run
         return PreprocessResult(
             original=self.instance,
             reduced=reduced,
@@ -655,7 +750,6 @@ class _Working:
             stats=stats,
             vertex_image=image,
             changed=changed,
-            root_run=root_run,
         )
 
 
@@ -733,37 +827,46 @@ _INCLUSIONS = ("short_links", "nearest_vertex")
 
 
 def run_pipeline(
-    instance: Instance, config: Optional[PipelineConfig] = None
+    instance: Instance,
+    config: Optional[PipelineConfig] = None,
+    context: Optional[SolveContext] = None,
 ) -> PreprocessResult:
     """Run simple reductions to a fixpoint, then the exclusion and inclusion
     tests with per-operation deactivation thresholds, interleaving simple
-    reductions after every productive operation."""
+    reductions after every productive operation.
+
+    ``context`` carries the root, incumbent and lower bound of the solve
+    across dual-ascent elimination rounds; the pipeline stops as soon as
+    its bounds meet.  Every operation has a ``changed`` entry in the stats,
+    0 when it did not run.
+    """
     cfg = config or PipelineConfig()
-    w = _Working(instance)
-    stats: dict[str, dict] = {}
+    w = _Working(instance, context)
+    ops = _EXCLUSIONS + _INCLUSIONS
+    stats = {name: {"changed": 0} for name in ("simple",) + ops}
 
     def note(name: str, n: int):
-        stats.setdefault(name, {"changed": 0})["changed"] += n
+        stats[name]["changed"] += n
 
     total = w.simple_fixpoint()
     note("simple", total)
-    active = {op: True for op in _EXCLUSIONS + _INCLUSIONS}
-    while len(w.terminals) > 1 and any(active.values()):
-        _check_deadline(cfg.deadline)
+    active = {op: True for op in ops}
+    while len(w.terminals) > 1 and any(active.values()) and not w.context.proven:
+        check_deadline(cfg.deadline)
         round_changed = 0
-        for op in _EXCLUSIONS + _INCLUSIONS:
-            if not active[op] or len(w.terminals) <= 1:
+        for op in ops:
+            if not active[op] or len(w.terminals) <= 1 or w.context.proven:
                 continue
-            _check_deadline(cfg.deadline)
+            check_deadline(cfg.deadline)
             units_before = len(w.alive) + w.edge_count()
             if op == "long_edges":
                 n = w.long_edges()
             elif op == "steiner_distance":
-                n = w.steiner_distance(cfg.nearest_terminals)
+                n = w.steiner_distance(cfg.nearest_terminals, deadline=cfg.deadline)
             elif op == "ntdk":
                 n = w.ntdk(cfg.ntdk_max_degree, cfg.nearest_terminals)
             elif op == "dual_ascent_bounds":
-                n = w.dual_ascent_elimination()
+                n = w.dual_ascent_elimination(deadline=cfg.deadline)
             elif op == "short_links":
                 n = w.short_links()
             else:

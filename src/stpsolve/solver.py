@@ -22,8 +22,10 @@ from .graph import (
     Instance,
     InternalError,
     Network,
+    SolveTimeout,
     StpError,
     SteinerTree,
+    check_deadline,
     distance_matrix,
     shortest_path_distances,
     shortest_path_edges,
@@ -35,14 +37,15 @@ from .bounds import (
     auto_heuristic,
     da_heuristic,
     one_tree_heuristic,
+    rsph,
     select_root,
-    upper_bound_pipeline,
+    upper_bound_pipeline,  # unused here; stpbench/tracing.py wraps this name
     zero_heuristic,
 )
 from .reductions import (
     PipelineConfig,
     PreprocessResult,
-    SolveTimeout,
+    SolveContext,
     identity_preprocess,
     run_pipeline,
     unreduce,
@@ -371,12 +374,10 @@ def ds_star(
             stats.stale_pops += 1
             continue
         stats.expansions += 1
-        if (
-            deadline is not None
-            and stats.expansions % 1024 == 0
-            and time.monotonic() > deadline
-        ):
-            raise SolveTimeout()
+        # Checked on every expansion: one may build heuristic tables.
+        if deadline is not None and time.monotonic() > deadline:
+            stats.wall_time = time.perf_counter() - start
+            raise SolveTimeout(stats)
         if (u, mask) in done:
             stats.re_expansions += 1
         else:
@@ -446,7 +447,15 @@ class SolveResult:
 
 
 def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResult:
-    """Full pipeline: reduce, pick a root and heuristic, search, expand."""
+    """Full pipeline: reduce, pick a root and heuristic, search, expand.
+
+    One ``SolveContext`` carries the root, the incumbent and the lower bound
+    through the reductions.  When the bounds meet there, the incumbent is
+    optimal and returned without a search.  Under a time limit an RSPH tree
+    of the original instance is the first incumbent, and a timeout returns
+    the best incumbent found.  ``stats`` reports both bounds in original
+    costs.
+    """
     cfg = config or SolveConfig()
     if cfg.heuristic not in _HEURISTICS:
         raise InputError(f"unknown heuristic {cfg.heuristic!r}")
@@ -456,18 +465,30 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     )
     started = time.perf_counter()
-    incumbent: Optional[SteinerTree] = None
+    ctx = SolveContext(root=cfg.root)
     pre: Optional[PreprocessResult] = None
     stats: dict = {"heuristic": None, "preprocessing": None}
+
+    def result(status, tree, search=None) -> SolveResult:
+        stats["wall_time"] = time.perf_counter() - started
+        stats["lower_bound"] = ctx.lower_bound
+        stats["upper_bound"] = ctx.upper_bound
+        if search is not None:
+            stats["search"] = search.as_dict()
+        cost = None if tree is None else tree.cost
+        return SolveResult(status, tree, cost, stats, pre, search)
+
     try:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise SolveTimeout()
+        if deadline is not None:
+            ctx.offer(instance, rsph(instance).edges)
+            check_deadline(deadline)
         if cfg.preprocess:
             pre = run_pipeline(
                 instance,
                 PipelineConfig(
                     threshold_ratio=cfg.threshold_ratio, deadline=deadline
                 ),
+                ctx,
             )
         else:
             pre = identity_preprocess(instance)
@@ -484,30 +505,29 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         if len(reduced.terminals) <= 1:
             trivial = SteinerTree(frozenset(), min(reduced.terminals), 0)
             tree = unreduce(trivial, pre.log)
-            validate_tree(instance, tree)
-            stats["wall_time"] = time.perf_counter() - started
-            return SolveResult("optimal", tree, tree.cost, stats, pre)
+            ctx.lower_bound = ctx.upper_bound = validate_tree(instance, tree)
+            return result("optimal", tree)
 
-        run = pre.root_run
-        if cfg.root is not None:
-            root = pre.vertex_image[cfg.root]
-            if root is None or root not in reduced.terminals:
-                raise InternalError("root override vanished during preprocessing")
-            if run is not None and run.root != root:
-                run = None
-        elif run is not None:
-            root = run.root  # preprocessing already selected it on this graph
+        if ctx.proven:
+            tree = ctx.tree(instance)
+            if validate_tree(instance, tree) != ctx.lower_bound:
+                raise InternalError(
+                    f"proven tree costs {tree.cost}, bound {ctx.lower_bound}"
+                )
+            stats["root"] = pre.vertex_image[ctx.root]
+            return result("optimal", tree)
+
+        if ctx.root is None:
+            root = select_root(reduced, deadline)
         else:
-            root = select_root(reduced)
+            root = pre.vertex_image[ctx.root]
+            if root is None or root not in reduced.terminals:
+                raise InternalError("the solve's root vanished during preprocessing")
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
         stats["heuristic"] = heuristic.name
         stats["root"] = root
 
-        if deadline is not None:
-            upper_tree = upper_bound_pipeline(reduced, root, run)
-            incumbent = unreduce(upper_tree, pre.log)
-
-        cost, reduced_tree, search_stats = ds_star(
+        cost, reduced_tree, search = ds_star(
             reduced, root, heuristic, cfg.pruning, deadline
         )
         tree = unreduce(reduced_tree, pre.log)
@@ -516,10 +536,10 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             raise InternalError(
                 f"expanded tree costs {recomputed}, expected {cost + pre.offset}"
             )
-        stats["wall_time"] = time.perf_counter() - started
-        stats["search"] = search_stats.as_dict()
-        return SolveResult("optimal", tree, tree.cost, stats, pre, search_stats)
-    except SolveTimeout:
-        stats["wall_time"] = time.perf_counter() - started
-        cost = incumbent.cost if incumbent is not None else None
-        return SolveResult("timeout", incumbent, cost, stats, pre)
+        ctx.lower_bound = ctx.upper_bound = recomputed
+        return result("optimal", tree, search)
+    except SolveTimeout as exc:
+        tree = ctx.tree(instance)
+        if tree is not None:
+            validate_tree(instance, tree)
+        return result("timeout", tree, exc.search)

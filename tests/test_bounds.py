@@ -17,6 +17,7 @@ from stpsolve import (
     rsph,
     select_root,
     shortest_path_distances,
+    spread_rsph,
     upper_bound_pipeline,
     validate_tree,
     zero_heuristic,
@@ -340,6 +341,64 @@ class TestUpperBoundPipeline:
             assert reused == upper_bound_pipeline(inst, run.root)
 
 
+class TestLocalSearchSkip:
+    def test_skipped_only_when_the_best_start_meets_the_lower_bound(
+        self, monkeypatch
+    ):
+        import stpsolve.bounds as bounds
+
+        calls = []
+        real = bounds.local_search
+        monkeypatch.setattr(
+            bounds, "local_search", lambda *a: calls.append(a) or real(*a)
+        )
+        rng = random.Random(64)
+        skipped = 0
+        for _ in range(100):
+            inst = random_grid(rng)
+            run = best_root_run(inst)
+            calls.clear()
+            tree = upper_bound_pipeline(inst, run.root, run)
+            if not calls:
+                skipped += 1
+                assert tree.cost == run.lower_bound
+            else:
+                (_, start, _), = calls
+                assert start.cost > run.lower_bound
+        assert skipped >= 80
+
+
+class TestBestRootRunStop:
+    """``best_root_run(stop_at=...)`` returns the full loop's run whenever
+    ``stop_at`` is at least the best bound, and stops early when it can."""
+
+    def test_stop_at_or_above_the_best_bound_changes_nothing(self, monkeypatch):
+        import stpsolve.bounds as bounds
+
+        calls = []
+        real = bounds.dual_ascent
+        monkeypatch.setattr(
+            bounds, "dual_ascent", lambda *a: calls.append(a) or real(*a)
+        )
+        rng = random.Random(65)
+        corpus = [random_instance(rng, 6, 20, 3, 8) for _ in range(150)]
+        corpus += [random_grid(rng) for _ in range(150)]
+        saved = 0
+        for inst in corpus:
+            calls.clear()
+            full = best_root_run(inst)
+            full_runs = len(calls)
+            upper = upper_bound_pipeline(inst, full.root, full).cost
+            for stop_at in {full.lower_bound, full.lower_bound + 1, upper}:
+                calls.clear()
+                assert best_root_run(inst, stop_at) == full
+                if stop_at == full.lower_bound:
+                    saved += len(calls) < full_runs
+            early = best_root_run(inst, full.lower_bound - 1)
+            assert early.lower_bound >= full.lower_bound - 1
+        assert saved >= 50
+
+
 class TestSelectRoot:
     def test_best_run_is_the_selected_roots_run(self):
         rng = random.Random(63)
@@ -590,8 +649,10 @@ class TestIncrementalUpperBounds:
             assert local_search(inst, got).edges == reference_local_search(
                 inst, want
             ).edges
-        got = upper_bound_pipeline(inst, run.root, run)
-        assert got.edges == reference_pipeline(inst, run).edges
+        want = reference_pipeline(inst, run).edges
+        assert upper_bound_pipeline(inst, run.root, run).edges == want
+        starts = spread_rsph(inst)
+        assert upper_bound_pipeline(inst, run.root, run, starts).edges == want
 
     def test_random_instances(self):
         rng = random.Random(131)

@@ -98,7 +98,15 @@ class TestSingleRun:
         out = capsys.readouterr()
         payload = json.loads(out.err.strip().splitlines()[-1])
         assert "preprocessing" in payload
+        assert payload["lower_bound"] == payload["upper_bound"] == 5
         assert out.out == "VALUE 5\n"
+
+    def test_stats_bounds_on_timeout(self, k4_stp, capsys):
+        assert main([str(k4_stp), "--stats", "--time-limit", "0"]) == 4
+        out = capsys.readouterr()
+        payload = json.loads(out.err.strip().splitlines()[0])
+        assert payload["lower_bound"] <= 27 <= payload["upper_bound"]
+        assert out.out.splitlines()[0] == f"VALUE {payload['upper_bound']}"
 
     def test_root_override(self, k4_stp, capsys):
         assert main([str(k4_stp), "--root", "3"]) == 0

@@ -9,9 +9,11 @@ from stpsolve import (
     Instance,
     InternalError,
     Network,
+    SolveContext,
     SteinerTree,
     contract_edge,
     dreyfus_wagner,
+    dual_ascent,
     dual_ascent_elimination,
     long_edge_test,
     nearest_vertex_test,
@@ -333,23 +335,33 @@ class TestDualAscentElimination:
 
 
     def test_root_run_kept_only_for_the_unchanged_graph(self):
+        # The context keeps a round's root run only while the working graph
+        # is the one it ran on; the root is chosen once, in the first round.
         rng = random.Random(113)
         for _ in range(10):
             inst = random_instance(rng)
-            pre = dual_ascent_elimination(inst, inst.network.total_cost)
-            want = best_root_run(pre.reduced)
-            assert pre.root_run.root == want.root
-            assert pre.root_run.lower_bound == want.lower_bound
-            assert pre.root_run.reduced_cost == want.reduced_cost
-            w = _Working(inst)
+            ctx = SolveContext()
+            w = _Working(inst, ctx)
             w.dual_ascent_elimination(inst.network.total_cost)
+            pre = w.finalize({}, 0)
+            root = pre.vertex_image[ctx.root]
+            assert root == best_root_run(pre.reduced).root
+            want = dual_ascent(pre.reduced, root)
+            assert ctx.run.lower_bound == want.lower_bound
+            assert ctx.run.reduced_cost == want.reduced_cost
+            assert ctx.run.root_component == want.root_component
+            assert ctx.run == want
+            w.dual_ascent_elimination(inst.network.total_cost)  # a later round
+            assert w.finalize({}, 0).vertex_image[ctx.root] == root
+            assert ctx.run == want
             u, v = next(
                 (u, v) for u in sorted(w.alive) for v in sorted(w.alive)
                 if u != v and v not in w.adj[u]
             )
             w.add_or_min_edge(u, v, 1, ())
-            assert w.finalize({}, 1).root_run is None
-
+            w.finalize({}, 1)
+            assert ctx.run is None
+            assert ctx.root is not None
 
 class TestShortLinks:
     def test_two_parallel_paths_contract_the_cheap_link(self):

@@ -6,17 +6,20 @@ import pytest
 from stpsolve import (
     Instance,
     Network,
+    PipelineConfig,
     SolveConfig,
+    SolveContext,
     TooManyTerminals,
     combine_split_cost,
     da_heuristic,
     dreyfus_wagner,
     ds_star,
+    dual_ascent,
     make_prune_state,
     one_tree_heuristic,
     prune,
     prune_combine,
-    select_root,
+    run_pipeline,
     shortest_path_distances,
     solve,
     validate_tree,
@@ -294,9 +297,12 @@ class TestSolve:
         assert costs == {8}
 
     def test_preprocessing_root_run_is_reused(self):
+        # The search root is the solve context's root (chosen once, in the
+        # first dual-ascent elimination round) mapped to reduced ids, and a
+        # run the context keeps is the root run of the reduced graph.
         rng = random.Random(127)
-        reused = 0
-        for _ in range(20):
+        kept = searched = 0
+        for _ in range(40):
             width = rng.randint(7, 9)
             n = width * width
             edges = [(v, v + 1, 1) for v in range(n) if v % width + 1 < width]
@@ -304,17 +310,30 @@ class TestSolve:
             terminals = frozenset(rng.sample(range(n), rng.randint(3, 6)))
             inst = Instance(Network(n, edges), terminals)
             result = solve(inst)
-            pre = result.preprocess
-            if result.search is None:
+            ctx = SolveContext()
+            pre = run_pipeline(inst, PipelineConfig(), ctx)
+            reduced = result.preprocess.reduced
+            assert pre.reduced.network.edges == reduced.network.edges
+            assert pre.reduced.terminals == reduced.terminals
+            assert ctx.lower_bound <= result.cost <= ctx.upper_bound
+            if len(pre.reduced.terminals) <= 1:
                 continue
-            assert result.stats["root"] == select_root(pre.reduced)
-            if pre.root_run is not None:
-                reused += 1
-                assert pre.root_run.root == result.stats["root"]
+            root = pre.vertex_image[ctx.root]
+            assert root in pre.reduced.terminals
+            assert result.stats["root"] == root
+            searched += result.search is not None
+            if ctx.run is not None:
+                kept += 1
+                want = dual_ascent(pre.reduced, root)
+                assert ctx.run.root == root
+                assert ctx.run.lower_bound == want.lower_bound
+                assert ctx.run.reduced_cost == want.reduced_cost
+                assert ctx.run.root_component == want.root_component
             limited = solve(inst, SolveConfig(time_limit=60.0))
             assert limited.cost == result.cost
             assert limited.stats["root"] == result.stats["root"]
-        assert reused >= 3
+        assert kept >= 3
+        assert searched >= 3
 
     def test_zero_time_limit_times_out(self, fix_k4):
         result = solve(fix_k4, SolveConfig(time_limit=0.0))
