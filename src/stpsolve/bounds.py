@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graph import (
     InputError,
@@ -185,6 +185,7 @@ class SteinerHeuristic:
     name = "base"
     root: int
     index: TerminalIndex
+    deadline: Optional[float] = None  # checked before each table build
 
     def eval_mask(self, u: int, mask: int) -> int:
         raise NotImplementedError
@@ -215,7 +216,7 @@ class DualAscentHeuristic(SteinerHeuristic):
     The value for (u, J) is the subset's dual-ascent bound plus the shortest
     root-to-u distance under the subset's reduced arc costs: any tree
     spanning J together with u pays at least that much.  Admissible but not
-    consistent.
+    consistent.  A set ``deadline`` is checked before every table build.
     """
 
     name = "da"
@@ -231,6 +232,8 @@ class DualAscentHeuristic(SteinerHeuristic):
     def _tables(self, mask: int) -> tuple[int, list[int]]:
         entry = self._cache.get(mask)
         if entry is None:
+            if self.deadline is not None:
+                check_deadline(self.deadline)
             subset = frozenset(self.index.members(mask)) | {self.root}
             run = dual_ascent(self.instance, self.root, subset)
             rows = directed_distances(
@@ -634,27 +637,36 @@ def upper_bound_pipeline(
     return local_search(instance, best, deadline)
 
 
-def best_root_run(
+def improving_root_runs(
     instance: Instance,
     stop_at: Optional[int] = None,
     deadline: Optional[float] = None,
-) -> DualAscentResult:
-    """The dual-ascent run with the highest bound among up to 50 terminal
-    roots spread over the sorted terminals; ties to the smallest root id.
-
-    With ``stop_at`` the loop returns the first run whose bound reaches it.
-    When ``stop_at`` is an upper bound no later run can beat that one, so
-    the result is the same.  ``deadline`` is checked before every run.
-    """
+) -> Iterator[DualAscentResult]:
+    """Dual-ascent runs from up to 50 terminal roots spread over the sorted
+    terminals, each yielded when its bound beats every earlier one; ties go
+    to the smallest root id.  With ``stop_at`` the runs end at the first
+    bound that reaches it; no later run can beat an upper bound.
+    ``deadline`` is checked before every run."""
     best = None
     for r in _spread(sorted(instance.terminals), 50):
         check_deadline(deadline)
         run = dual_ascent(instance, r)
         if best is None or run.lower_bound > best.lower_bound:
             best = run
-            if stop_at is not None and best.lower_bound >= stop_at:
-                break
-    return best
+            yield run
+            if stop_at is not None and run.lower_bound >= stop_at:
+                return
+
+
+def best_root_run(
+    instance: Instance,
+    stop_at: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> DualAscentResult:
+    """The last of ``improving_root_runs``: the run with the highest bound."""
+    for run in improving_root_runs(instance, stop_at, deadline):
+        pass  # keeps one run at a time, not the whole sequence
+    return run
 
 
 def select_root(instance: Instance, deadline: Optional[float] = None) -> int:

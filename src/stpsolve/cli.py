@@ -25,6 +25,14 @@ EXIT_UNSUPPORTED = 3
 EXIT_TIMEOUT = 4
 
 
+def seconds(text: str) -> float:
+    """Argument type: seconds in [0, inf); NaN fails the comparison."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite time >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stpsolve",
@@ -38,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=float,
+        type=seconds,
         default=None,
         help="per-instance time budget in seconds for --bench",
     )
@@ -48,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-preprocess", action="store_true", help="skip reductions")
     p.add_argument("--no-pruning", action="store_true", help="disable search pruning")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p.add_argument("--time-limit", type=seconds, default=None, help="seconds")
     p.add_argument(
         "--root", type=int, default=None, help="root terminal (original label)"
     )
@@ -115,7 +123,12 @@ def _run_single(args) -> int:
 
     if args.dump_reduced and result.preprocess is not None:
         reduced = result.preprocess.reduced
-        Path(args.dump_reduced).write_text(write_instance(reduced), encoding="utf-8")
+        text = write_instance(reduced)
+        try:
+            Path(args.dump_reduced).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: --dump-reduced: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         log = result.preprocess.log
         print(
             f"reduction log: {len(log.records)} records, offset {log.offset}, "

@@ -126,8 +126,6 @@ class SolveContext:
 @dataclass
 class PipelineConfig:
     threshold_ratio: float = 0.01
-    ntdk_max_degree: int = 4
-    nearest_terminals: int = 3
     deadline: Optional[float] = None
 
 
@@ -384,12 +382,7 @@ class _Working:
             self.remove_edge(u, v)
         return len(doomed)
 
-    def steiner_distance(
-        self,
-        nearest_k: int = 3,
-        oracle: Optional[BottleneckOracle] = None,
-        deadline: Optional[float] = None,
-    ) -> int:
+    def steiner_distance(self, oracle: Optional[BottleneckOracle] = None) -> int:
         if len(self.terminals) <= 1:
             return 0
         removed = 0
@@ -397,7 +390,7 @@ class _Working:
         inst, order = self.snapshot()
         pos = {v: i for i, v in enumerate(order)}
         if oracle is None:
-            oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+            oracle = BottleneckOracle(inst.network, inst.terminals)
         # Strictly dominated edges can all go at once: no optimal tree uses
         # any of them.
         doomed = [
@@ -420,11 +413,10 @@ class _Working:
             if len(self.terminals) <= 1:
                 break
             if fresh is None:
-                check_deadline(deadline)
                 self.restrict_to_terminal_component()
                 inst, order = self.snapshot()
                 pos = {v: i for i, v in enumerate(order)}
-                fresh = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+                fresh = BottleneckOracle(inst.network, inst.terminals)
                 sentinel = inst.network.total_cost
                 resume = 0
             live = self.edge_list()
@@ -457,12 +449,7 @@ class _Working:
                     return False
         return True
 
-    def ntdk(
-        self,
-        max_degree: int = 4,
-        nearest_k: int = 3,
-        oracle: Optional[BottleneckOracle] = None,
-    ) -> int:
+    def ntdk(self, max_degree: int = 4, oracle: Optional[BottleneckOracle] = None) -> int:
         """Replace a non-terminal of degree 3..``max_degree`` by the pairwise
         edges between its neighbors when, for every set of three or more of
         them, the star through the vertex costs at least the MST over their
@@ -489,7 +476,7 @@ class _Working:
         inst, order = self.snapshot()
         pos = {v: i for i, v in enumerate(order)}
         if oracle is None:
-            oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
+            oracle = BottleneckOracle(inst.network, inst.terminals)
         adj = self.adj
         pending = [v for v in order if v not in self.terminals]  # sorted: a heap
         queued = set(pending)
@@ -598,12 +585,13 @@ class _Working:
             stop_at = upper_bound
             if stop_at is None and ctx.upper_bound is not None:
                 stop_at = ctx.upper_bound - self.offset
-            run = _bounds.best_root_run(inst, stop_at, deadline)
-            ctx.root = order[run.root]
+            runs = _bounds.improving_root_runs(inst, stop_at, deadline)
         else:
-            run = _bounds.dual_ascent(inst, pos[self.survivor(ctx.root)])
+            runs = [_bounds.dual_ascent(inst, pos[self.survivor(ctx.root)])]
+        for run in runs:  # a timeout in root selection keeps the best bound
+            ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
+        ctx.root = order[run.root]
         ctx.run, ctx.run_stamp = run, len(self.records)
-        ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
         root = run.root
         if upper_bound is None:
             tree = _bounds.upper_bound_pipeline(inst, root, run, starts, deadline)
@@ -822,8 +810,17 @@ def identity_preprocess(instance: Instance) -> PreprocessResult:
     return PreprocessResult(instance, instance, log, 0, {}, image, 0)
 
 
-_EXCLUSIONS = ("long_edges", "steiner_distance", "ntdk", "dual_ascent_bounds")
-_INCLUSIONS = ("short_links", "nearest_vertex")
+# Every operation's ``changed`` key.  The default schedule runs ``simple`` and
+# ``dual_ascent_bounds``; the other five run only through their ``*_test`` functions.
+REDUCTION_OPS = (
+    "simple",
+    "long_edges",
+    "steiner_distance",
+    "ntdk",
+    "dual_ascent_bounds",
+    "short_links",
+    "nearest_vertex",
+)
 
 
 def run_pipeline(
@@ -831,56 +828,30 @@ def run_pipeline(
     config: Optional[PipelineConfig] = None,
     context: Optional[SolveContext] = None,
 ) -> PreprocessResult:
-    """Run simple reductions to a fixpoint, then the exclusion and inclusion
-    tests with per-operation deactivation thresholds, interleaving simple
-    reductions after every productive operation.
+    """Run simple reductions to a fixpoint, then rounds of dual-ascent
+    elimination, each productive round followed by the simple fixpoint,
+    until a round changes fewer than ``threshold_ratio`` of the live
+    vertices and edges (at least one).
 
     ``context`` carries the root, incumbent and lower bound of the solve
     across dual-ascent elimination rounds; the pipeline stops as soon as
-    its bounds meet.  Every operation has a ``changed`` entry in the stats,
-    0 when it did not run.
+    its bounds meet.  Every operation of ``REDUCTION_OPS`` has a
+    ``changed`` entry in the stats, 0 when it did not run.
     """
     cfg = config or PipelineConfig()
     w = _Working(instance, context)
-    ops = _EXCLUSIONS + _INCLUSIONS
-    stats = {name: {"changed": 0} for name in ("simple",) + ops}
-
-    def note(name: str, n: int):
-        stats[name]["changed"] += n
-
-    total = w.simple_fixpoint()
-    note("simple", total)
-    active = {op: True for op in ops}
-    while len(w.terminals) > 1 and any(active.values()) and not w.context.proven:
+    stats = {name: {"changed": 0} for name in REDUCTION_OPS}
+    total = stats["simple"]["changed"] = w.simple_fixpoint()
+    while len(w.terminals) > 1 and not w.context.proven:
         check_deadline(cfg.deadline)
-        round_changed = 0
-        for op in ops:
-            if not active[op] or len(w.terminals) <= 1 or w.context.proven:
-                continue
-            check_deadline(cfg.deadline)
-            units_before = len(w.alive) + w.edge_count()
-            if op == "long_edges":
-                n = w.long_edges()
-            elif op == "steiner_distance":
-                n = w.steiner_distance(cfg.nearest_terminals, deadline=cfg.deadline)
-            elif op == "ntdk":
-                n = w.ntdk(cfg.ntdk_max_degree, cfg.nearest_terminals)
-            elif op == "dual_ascent_bounds":
-                n = w.dual_ascent_elimination(deadline=cfg.deadline)
-            elif op == "short_links":
-                n = w.short_links()
-            else:
-                n = w.nearest_vertex()
-            note(op, n)
-            if n:
-                ns = w.simple_fixpoint()
-                note("simple", ns)
-                round_changed += n + ns
-            threshold = max(1, int(cfg.threshold_ratio * units_before))
-            if n < threshold:
-                active[op] = False
-        total += round_changed
-        if round_changed == 0:
+        units_before = len(w.alive) + w.edge_count()
+        n = w.dual_ascent_elimination(deadline=cfg.deadline)
+        stats["dual_ascent_bounds"]["changed"] += n
+        if n:
+            ns = w.simple_fixpoint()
+            stats["simple"]["changed"] += ns
+            total += n + ns
+        if n < max(1, int(cfg.threshold_ratio * units_before)):
             break
     return w.finalize(stats, total)
 

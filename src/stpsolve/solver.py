@@ -335,7 +335,11 @@ def ds_star(
         if val is not None:
             stats.heuristic_cache_hits += 1
             return val
-        val = heuristic.eval_mask(u, full ^ mask)
+        try:
+            val = heuristic.eval_mask(u, full ^ mask)
+        except SolveTimeout:  # raised before a table build
+            stats.wall_time = time.perf_counter() - start
+            raise SolveTimeout(stats) from None
         if val < 0:
             raise HeuristicNegative(f"heuristic value {val} at {key}")
         h_memo[key] = val
@@ -374,7 +378,6 @@ def ds_star(
             stats.stale_pops += 1
             continue
         stats.expansions += 1
-        # Checked on every expansion: one may build heuristic tables.
         if deadline is not None and time.monotonic() > deadline:
             stats.wall_time = time.perf_counter() - start
             raise SolveTimeout(stats)
@@ -524,6 +527,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             if root is None or root not in reduced.terminals:
                 raise InternalError("the solve's root vanished during preprocessing")
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
+        heuristic.deadline = deadline
         stats["heuristic"] = heuristic.name
         stats["root"] = root
 

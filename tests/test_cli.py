@@ -135,6 +135,22 @@ class TestSingleRun:
         assert dump.exists()
         assert "reduction log" in capsys.readouterr().err
 
+    def test_dump_reduced_into_a_missing_directory(self, k4_stp, tmp_path, capsys):
+        target = tmp_path / "missing" / "reduced.gr"
+        assert main([str(k4_stp), "--dump-reduced", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--time-limit", "--budget"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "inf", "-inf", "soon"])
+    def test_seconds_must_be_finite_and_not_negative(self, k4_stp, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([str(k4_stp), f"{flag}={value}"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert f"argument {flag}" in out.err and "Traceback" not in out.err
+        assert out.out == ""
+
     def test_format_override(self, tmp_path, capsys):
         # gr content under a misleading name still parses when forced
         target = tmp_path / "instance.dat"

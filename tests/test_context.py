@@ -21,10 +21,8 @@ from stpsolve import (
     validate_tree,
 )
 from stpsolve.graph import SolveTimeout
-from stpsolve.reductions import _EXCLUSIONS, _INCLUSIONS, _Working
+from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
 from conftest import random_grid, random_instance
-
-OPS = ("simple",) + _EXCLUSIONS + _INCLUSIONS
 
 
 def unit_grid(width, height, terminals, max_cost, seed):
@@ -169,33 +167,101 @@ class TestTimeouts:
         assert validate_tree(inst, result.tree) == result.cost
 
     def test_bounds_bracket_the_optimum_wherever_time_runs_out(self, monkeypatch):
-        # Time runs out at the k-th deadline check, for every k up to the
-        # number of checks a solve makes.
-        calls = []
+        timeouts = bounded = 0
+        for inst, expected, result, _ in every_timeout(monkeypatch, TIMEOUT_CORPUS):
+            timeouts += 1
+            stats = result.stats
+            assert stats["lower_bound"] <= expected <= stats["upper_bound"]
+            assert stats["upper_bound"] == result.cost
+            assert validate_tree(inst, result.tree) == result.cost
+            bounded += stats["lower_bound"] > 0
+        assert timeouts >= 300
+        assert bounded >= 30
+
+    def test_a_timeout_after_a_root_run_keeps_its_bound(self, monkeypatch):
+        # Root selection in the first elimination round raises the bound
+        # with every better run, so no finished run's bound is lost.
+        after_a_run = 0
+        for _, expected, result, root_runs in every_timeout(
+            monkeypatch, TIMEOUT_CORPUS
+        ):
+            if root_runs:
+                after_a_run += 1
+                assert 0 < result.stats["lower_bound"] <= expected
+        assert after_a_run >= 60
+
+    def test_a_deadline_at_the_first_search_check_builds_no_table(self, monkeypatch):
+        # The deadline passes at the first check inside the search, which
+        # comes before the first queue fill builds a heuristic table.
+        searching = False
+        tables = 0
+        real_search, real_run = stpsolve.solver.ds_star, stpsolve.bounds.dual_ascent
+
+        def search(*args, **kwargs):
+            nonlocal searching
+            searching = True
+            return real_search(*args, **kwargs)
+
+        def run(*args, **kwargs):
+            nonlocal tables
+            tables += searching
+            return real_run(*args, **kwargs)
 
         def check(deadline):
-            calls.append(deadline)
-            if len(calls) == stop_at:
+            if searching:
                 raise SolveTimeout()
 
         for module in (stpsolve.solver, stpsolve.reductions, stpsolve.bounds):
             monkeypatch.setattr(module, "check_deadline", check)
-        timeouts = bounded = 0
-        for inst in proof_corpus(307, 40):
-            expected = optimum(inst)
-            stop_at = 1
-            while True:
-                calls.clear()
-                result = solve(inst, SolveConfig(time_limit=60.0))
-                if result.status == "optimal":
-                    assert result.cost == expected
-                    break
-                timeouts += 1
-                stats = result.stats
-                assert stats["lower_bound"] <= expected <= stats["upper_bound"]
-                assert stats["upper_bound"] == result.cost
-                assert validate_tree(inst, result.tree) == result.cost
-                bounded += stats["lower_bound"] > 0
-                stop_at += 1
-        assert timeouts >= 300
-        assert bounded >= 30
+        monkeypatch.setattr(stpsolve.solver, "ds_star", search)
+        monkeypatch.setattr(stpsolve.bounds, "dual_ascent", run)
+        inst = unit_grid(15, 15, 10, 1, 9)
+        result = solve(inst, SolveConfig(preprocess=False, time_limit=60.0))
+        assert searching
+        assert result.status == "timeout"
+        assert tables == 0
+        assert result.search is not None and result.search.expansions == 0
+        assert validate_tree(inst, result.tree) == result.cost
+
+
+# The first 40 instances are the original corpus; the last 10 keep the
+# number of timeouts above the floor now that a solve makes fewer checks.
+TIMEOUT_CORPUS = proof_corpus(307, 40) + proof_corpus(308, 10)
+
+
+def every_timeout(monkeypatch, corpus):
+    """Solve each instance with time running out at the k-th deadline
+    check, for every k up to the number of checks the solve makes, and
+    yield ``(instance, optimum, result, root_runs)`` for every timeout;
+    ``root_runs`` counts the dual-ascent runs over all terminals that
+    finished before it.  The solve without a timeout must be optimal."""
+    calls = []
+    root_runs = 0
+    real_run = stpsolve.bounds.dual_ascent
+
+    def check(deadline):
+        calls.append(deadline)
+        if len(calls) == stop_at:
+            raise SolveTimeout()
+
+    def run(instance, root, terminal_subset=None):
+        nonlocal root_runs
+        result = real_run(instance, root, terminal_subset)
+        root_runs += terminal_subset is None
+        return result
+
+    for module in (stpsolve.solver, stpsolve.reductions, stpsolve.bounds):
+        monkeypatch.setattr(module, "check_deadline", check)
+    monkeypatch.setattr(stpsolve.bounds, "dual_ascent", run)
+    for inst in corpus:
+        expected = optimum(inst)
+        stop_at = 1
+        while True:
+            calls.clear()
+            root_runs = 0
+            result = solve(inst, SolveConfig(time_limit=60.0))
+            if result.status == "optimal":
+                assert result.cost == expected
+                break
+            yield inst, expected, result, root_runs
+            stop_at += 1
