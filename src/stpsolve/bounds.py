@@ -641,14 +641,20 @@ def improving_root_runs(
     instance: Instance,
     stop_at: Optional[int] = None,
     deadline: Optional[float] = None,
+    first: Optional[DualAscentResult] = None,
 ) -> Iterator[DualAscentResult]:
     """Dual-ascent runs from up to 50 terminal roots spread over the sorted
     terminals, each yielded when its bound beats every earlier one; ties go
     to the smallest root id.  With ``stop_at`` the runs end at the first
     bound that reaches it; no later run can beat an upper bound.
-    ``deadline`` is checked before every run."""
-    best = None
-    for r in _spread(sorted(instance.terminals), 50):
+    ``first`` is the run from the first root (the smallest terminal),
+    already made: it is not run again or yielded, and later runs must beat
+    it.  ``deadline`` is checked before every run."""
+    roots = _spread(sorted(instance.terminals), 50)
+    best = first
+    if first is not None:
+        roots = roots[1:]
+    for r in roots:
         check_deadline(deadline)
         run = dual_ascent(instance, r)
         if best is None or run.lower_bound > best.lower_bound:

@@ -553,6 +553,14 @@ class _Working:
             return None
         return SteinerTree.from_edges(net, tree, min(snapshot.terminals))
 
+    def _adopt(self, run: _bounds.DualAscentResult, order: list[int]):
+        """Make ``run``, on the current snapshot with ids ``order``, the
+        context's root run, and raise the lower bound to its bound."""
+        ctx = self.context
+        ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
+        ctx.root = order[run.root]
+        ctx.run, ctx.run_stamp = run, len(self.records)
+
     def dual_ascent_elimination(
         self, upper_bound: Optional[int] = None, deadline: Optional[float] = None
     ) -> int:
@@ -561,12 +569,17 @@ class _Working:
 
         Without ``upper_bound`` the bound is the context's incumbent,
         improved by the upper-bound pipeline on the snapshot.  The first
-        round of a solve offers the best spread RSPH start before it picks
-        the root (unless the context has one), so root selection can stop
-        at a run that meets the incumbent.  Later rounds run one dual ascent
-        from the context root and hand the pipeline the incumbent instead
-        of the starts.  When the bounds meet the incumbent is optimal, and
-        the round deletes nothing.
+        round of a solve offers the best spread RSPH start and hands the
+        starts to the pipeline; later rounds hand it the incumbent.  A round
+        whose context has a root runs one dual ascent from it.  Otherwise
+        the round picks the root: it runs dual ascent from the first root
+        (the smallest terminal) and the pipeline with that run, and only
+        while the bounds are then apart runs the other roots, which stop at
+        a bound that meets the improved incumbent.  Either way it keeps the
+        run the full loop over the roots would pick: no run beats a bound
+        that meets an upper bound.  With ``upper_bound`` the root runs stop
+        at it and no pipeline runs.  When the bounds meet the incumbent is
+        optimal, and the round deletes nothing.
         """
         if len(self.terminals) <= 1:
             return 0
@@ -574,6 +587,7 @@ class _Working:
         inst, order = self.snapshot()
         pos = {v: i for i, v in enumerate(order)}
         ctx = self.context
+        pick_root = upper_bound is None and ctx.root is None
         starts = None
         if upper_bound is None and ctx.run is None:
             starts = _bounds.spread_rsph(inst, deadline)
@@ -581,26 +595,28 @@ class _Working:
         elif upper_bound is None:
             carried = self.incumbent_on(inst, order)
             starts = [] if carried is None else [carried]
-        if ctx.root is None:
-            stop_at = upper_bound
-            if stop_at is None and ctx.upper_bound is not None:
-                stop_at = ctx.upper_bound - self.offset
-            runs = _bounds.improving_root_runs(inst, stop_at, deadline)
-        else:
+        if ctx.root is not None:
             runs = [_bounds.dual_ascent(inst, pos[self.survivor(ctx.root)])]
+        elif upper_bound is not None:
+            runs = _bounds.improving_root_runs(inst, upper_bound, deadline)
+        else:
+            check_deadline(deadline)
+            runs = [_bounds.dual_ascent(inst, min(inst.terminals))]
         for run in runs:  # a timeout in root selection keeps the best bound
-            ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
-        ctx.root = order[run.root]
-        ctx.run, ctx.run_stamp = run, len(self.records)
-        root = run.root
+            self._adopt(run, order)
         if upper_bound is None:
-            tree = _bounds.upper_bound_pipeline(inst, root, run, starts, deadline)
+            tree = _bounds.upper_bound_pipeline(inst, run.root, run, starts, deadline)
             self.offer(tree, inst, order)
+            if pick_root and not ctx.proven:
+                stop_at = ctx.upper_bound - self.offset
+                for run in _bounds.improving_root_runs(inst, stop_at, deadline, run):
+                    self._adopt(run, order)
             if ctx.proven:
                 return 0
             upper_bound = ctx.upper_bound - self.offset
         if upper_bound >= inst.network.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
+        root = run.root
         net = inst.network
         lower = run.lower_bound
         reduced = run.reduced_cost

@@ -464,6 +464,11 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         raise InputError(f"unknown heuristic {cfg.heuristic!r}")
     if cfg.root is not None and cfg.root not in instance.terminals:
         raise InputError("root override must be a terminal")
+    # Written so that NaN fails the comparisons.
+    if cfg.time_limit is not None and not 0 <= cfg.time_limit < float("inf"):
+        raise InputError(f"time limit {cfg.time_limit!r} is not a finite time >= 0")
+    if not 0 <= cfg.threshold_ratio <= 1:
+        raise InputError(f"threshold ratio {cfg.threshold_ratio!r} is not in [0, 1]")
     deadline = (
         time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     )

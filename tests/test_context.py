@@ -17,9 +17,11 @@ from stpsolve import (
     SolveConfig,
     SolveContext,
     dreyfus_wagner,
+    dual_ascent,
     solve,
     validate_tree,
 )
+from stpsolve.bounds import best_root_run
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
 from conftest import random_grid, random_instance
@@ -127,6 +129,69 @@ class TestCarriedIncumbent:
             assert validate_tree(snapshot, tree) == tree.cost
             assert tree.edges  # the snapshot still has terminals to join
         assert carried >= 15
+
+
+class TestFirstRound:
+    """The first elimination round runs dual ascent from the first root,
+    improves the incumbent with that run, and tries the other roots only
+    while the bounds are apart."""
+
+    def test_costs_and_bounds_match_the_oracle(self):
+        for inst in proof_corpus(311, 300):
+            expected = optimum(inst)
+            result = solve(inst)
+            assert result.status == "optimal"
+            assert validate_tree(inst, result.tree) == result.cost == expected
+            assert result.stats["lower_bound"] == expected
+            assert result.stats["upper_bound"] == expected
+
+    def test_other_roots_run_only_while_the_bounds_are_apart(self, monkeypatch):
+        runs = 0
+        real = stpsolve.bounds.dual_ascent
+
+        def counted(instance, root, terminal_subset=None):
+            nonlocal runs
+            runs += terminal_subset is None
+            return real(instance, root, terminal_subset)
+
+        rng = random.Random(313)
+        corpus = [random_instance(rng, 6, 24, 3, 7) for _ in range(150)]
+        corpus += [  # unit costs and more terminals leave more bounds apart
+            random_grid(rng, 6, 10, costs=(1,), min_t=5, max_t=10)
+            for _ in range(150)
+        ]
+        at_first = hunted = apart = 0
+        for inst in corpus:
+            ctx = SolveContext()
+            w = _Working(inst, ctx)
+            w.simple_fixpoint()
+            if len(w.terminals) <= 1:
+                continue
+            w.restrict_to_terminal_component()
+            snapshot, order = w.snapshot()
+            monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
+            runs = 0
+            best = best_root_run(snapshot)
+            every_root, runs = runs, 0
+            w.dual_ascent_elimination()
+            monkeypatch.undo()
+            first = dual_ascent(snapshot, min(snapshot.terminals))
+            # Whatever ends the round, its root run is the full loop's.
+            assert ctx.root == order[best.root]
+            assert ctx.run == best
+            assert ctx.lower_bound == best.lower_bound + w.offset
+            if first.lower_bound + w.offset == ctx.upper_bound:
+                at_first += 1
+                assert runs == 1
+                assert ctx.proven
+            else:
+                hunted += 1
+                assert runs > 1  # a single run must have proven the round
+                assert runs == every_root or ctx.proven
+                apart += not ctx.proven
+        assert at_first >= 150
+        assert hunted >= 40
+        assert apart >= 25
 
 
 class TestTimeouts:

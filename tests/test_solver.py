@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stpsolve import (
+    InputError,
     Instance,
     Network,
     PipelineConfig,
@@ -27,6 +28,15 @@ from stpsolve import (
 )
 from stpsolve.bounds import SteinerHeuristic, TerminalIndex
 from conftest import brute_force_smt, random_instance
+
+
+def unit_grid_8x8():
+    """Unit-cost 8x8 grid with six terminals drawn by ``random.Random(0)``."""
+    n = 64
+    edges = [(v, v + 1, 1) for v in range(n) if v % 8 + 1 < 8]
+    edges += [(v, v + 8, 1) for v in range(n - 8)]
+    terminals = frozenset(random.Random(0).sample(range(n), 6))
+    return Instance(Network(n, edges), terminals)
 
 
 class ErraticExact(SteinerHeuristic):
@@ -284,6 +294,31 @@ class TestSolve:
     def test_root_override(self, fix_k4):
         result = solve(fix_k4, SolveConfig(root=3))
         assert result.cost == 27
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("time_limit", float("nan")),
+            ("time_limit", float("inf")),
+            ("time_limit", -1.0),
+            ("threshold_ratio", float("nan")),
+            ("threshold_ratio", float("inf")),
+            ("threshold_ratio", -0.01),
+            ("threshold_ratio", 1.5),
+        ],
+    )
+    def test_bad_limits_are_input_errors(self, field, value):
+        # An 8x8 unit grid reaches the elimination rounds, whose
+        # threshold test is where NaN and infinity used to escape.
+        inst = unit_grid_8x8()
+        with pytest.raises(InputError):
+            solve(inst, SolveConfig(**{field: value}))
+
+    def test_threshold_ratio_ends_are_allowed(self):
+        inst = unit_grid_8x8()
+        expected = dreyfus_wagner(inst, min(inst.terminals))[0]
+        for ratio in (0.0, 1.0):
+            assert solve(inst, SolveConfig(threshold_ratio=ratio)).cost == expected
 
     def test_no_preprocess_no_pruning(self, fix_k4):
         result = solve(fix_k4, SolveConfig(preprocess=False, pruning=False))
