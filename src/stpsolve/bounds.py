@@ -19,8 +19,10 @@ from .graph import (
     SteinerTree,
     arc_layout,
     check_deadline,
-    shortest_path_distances,
+    lower_distances,
     mst_over_points,
+    shortest_path_distances,
+    tight_path,
 )
 
 # Auto-selection: dual ascent pays off on small graphs, the cheaper 1-tree
@@ -149,35 +151,6 @@ def dual_ascent(
     return DualAscentResult(lower, reduced, frozenset(component), root, subset)
 
 
-def directed_distances(
-    network: Network,
-    arc_costs: list[int],
-    sources: Iterable[int],
-    reverse: bool = False,
-) -> list[int]:
-    """Dijkstra over costs indexed by arc id; multi-source; ``reverse``
-    follows every arc backwards (distances to the sources)."""
-    flip = 1 if reverse else 0
-    _, _, out = arc_layout(network)
-    inf = network.total_cost + 1
-    dist = [inf] * network.vertex_count
-    heap = []
-    for s in sorted(set(sources)):
-        dist[s] = 0
-        heap.append((0, s))
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, a in out[u]:
-            nd = d + arc_costs[a ^ flip]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 class SteinerHeuristic:
     """Guiding function: a lower bound on the cost of connecting a vertex
     with a terminal subset that always contains the search root."""
@@ -236,9 +209,9 @@ class DualAscentHeuristic(SteinerHeuristic):
                 check_deadline(self.deadline)
             subset = frozenset(self.index.members(mask)) | {self.root}
             run = dual_ascent(self.instance, self.root, subset)
-            rows = directed_distances(
-                self.instance.network, run.reduced_cost, (self.root,)
-            )
+            net = self.instance.network
+            rows = [net.total_cost + 1] * net.vertex_count
+            lower_distances(net, rows, (self.root,), run.reduced_cost)
             entry = (run.lower_bound, rows)
             self._cache[mask] = entry
         return entry
@@ -360,12 +333,12 @@ def rsph(
     non-terminal leaves.  Returns a feasible tree, hence an upper bound.
 
     One distance-to-tree list serves every attachment: after a path joins
-    the tree, a Dijkstra from its new vertices lowers what they improve.
-    The next terminal is the remaining one with the smallest (distance, id),
-    and its path is retraced by stepping, at every vertex, to the tight
-    neighbor with the smallest (distance, id).  Costs are positive, so a
-    Dijkstra restarted from the whole tree, popping in (distance, id) order,
-    would pick that terminal and record exactly those predecessors.
+    the tree, ``lower_distances`` from its new vertices lowers what they
+    improve.  With ``within``, arcs into vertices outside it cost
+    ``total_cost + 1``, the value of an unreached entry, so those vertices
+    are never entered.  The next terminal is the remaining one with the
+    smallest (distance, id), and ``tight_path`` retraces its path, as a
+    Dijkstra restarted from the whole tree would pick and record them.
     """
     net = instance.network
     terms = instance.terminals
@@ -373,45 +346,30 @@ def rsph(
         start = min(terms)
     if start not in terms:
         raise InputError("rsph start must be a terminal")
-    allowed = None if within is None else frozenset(within)
-    if allowed is not None and not terms <= allowed:
-        raise InputError("restriction set must contain every terminal")
-
     inf = net.total_cost + 1
+    arc_costs = None
+    if within is not None:
+        allowed = frozenset(within)
+        if not terms <= allowed:
+            raise InputError("restriction set must contain every terminal")
+        tail, cost, _ = arc_layout(net)
+        arc_costs = [c if tail[a ^ 1] in allowed else inf for a, c in enumerate(cost)]
+
     dist = [inf] * net.vertex_count
     tree_edges: set[int] = set()
     remaining = set(terms)
     fresh = [start]
     while True:
-        for v in fresh:
-            dist[v] = 0
-        heap = [(0, v) for v in fresh]
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, cost, _ in net.adjacency[u]:
-                nd = d + cost
-                if nd < dist[v] and (allowed is None or v in allowed):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+        lower_distances(net, dist, fresh, arc_costs)
         remaining.difference_update(fresh)
         if not remaining:
             break
         x = min(remaining, key=lambda z: (dist[z], z))
         if dist[x] == inf:
             raise InputError("restriction set does not connect the terminals")
-        fresh = []
-        while dist[x]:
-            _, u, eid = min(
-                (dist[u], u, eid)
-                for u, cost, eid in net.adjacency[x]
-                if dist[u] + cost == dist[x]
-            )
-            fresh.append(x)
-            tree_edges.add(eid)
-            x = u
+        steps = tight_path(net, dist, x)
+        fresh = [v for v, _ in steps]
+        tree_edges.update(eid for _, eid in steps)
     tree_edges = _prune_leaves(net, tree_edges, terms)
     return SteinerTree.from_edges(net, tree_edges, start)
 
@@ -491,6 +449,11 @@ def local_search(
     strict (cost, edge id) order that makes every MST unique.  By the cycle
     property an edge outside MST(G[tv]) stays out once v joins, so
     MST(G[tv + v]) is the MST of MST(G[tv]) plus v's edges into tv.
+
+    Key-path exchange drops one path between key vertices and reconnects
+    the two parts by a shortest path: ``lower_distances`` from the part
+    holding the path's first end stops at the first vertex of the other
+    part it settles, and ``tight_path`` retraces the way back.
     """
     net = instance.network
     terms = instance.terminals
@@ -548,32 +511,11 @@ def local_search(
                         comp_a.add(y)
                         stack.append(y)
             comp_b = (_tree_vertices(net, kept) | {b}) - comp_a
-            dist = {v: 0 for v in comp_a}
-            pred: dict[int, tuple[int, int]] = {}
-            heap = [(0, v) for v in sorted(comp_a)]
-            heapq.heapify(heap)
-            hit = None
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                if u in comp_b:
-                    hit = u
-                    break
-                for w, cost, eid in net.adjacency[u]:
-                    nd = d + cost
-                    if w not in dist or nd < dist[w]:
-                        dist[w] = nd
-                        pred[w] = (u, eid)
-                        heapq.heappush(heap, (nd, w))
+            dist = [net.total_cost + 1] * net.vertex_count
+            hit = lower_distances(net, dist, comp_a, stop=comp_b)
             if hit is None or dist[hit] >= path_cost:
                 continue
-            new_path = set()
-            x = hit
-            while x not in comp_a:
-                u, eid = pred[x]
-                new_path.add(eid)
-                x = u
+            new_path = {eid for _, eid in tight_path(net, dist, hit)}
             best = kept | new_path
             best_cost = cost_of(best)
             improved = True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 # Instances whose total edge cost exceeds this are rejected at load time so
 # that all arithmetic (including doubled bounds) fits comfortably in 64 bits.
@@ -176,6 +176,64 @@ class VoronoiPartition:
     dist: tuple[int, ...]
 
 
+def lower_distances(
+    network: Network,
+    dist: list[int],
+    sources: Iterable[int],
+    arc_costs: Optional[Sequence[int]] = None,
+    stop: Container[int] = (),
+) -> Optional[int]:
+    """Dijkstra that lowers the caller's ``dist`` list in place.
+
+    Every source is set to 0 and arcs are followed along ``arc_layout``'s
+    ``out`` lists; ``arc_costs`` is indexed by arc id and defaults to the
+    edge costs.  An entry only ever goes down, so a kept ``dist`` is lowered
+    by a second call, and an entry pre-set to -1 is never entered.  With
+    positive costs, vertices are settled in (distance, id) order; the first
+    one in ``stop`` ends the run and is returned, else None.
+    """
+    _, cost, out = arc_layout(network)
+    if arc_costs is None:
+        arc_costs = cost
+    heap = []
+    for s in sources:
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u in stop:
+            return u
+        for v, a in out[u]:
+            nd = d + arc_costs[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return None
+
+
+def tight_path(network: Network, dist: Sequence[int], x: int) -> list[tuple[int, int]]:
+    """Walk from ``x`` back to a vertex at distance 0 under edge costs.
+
+    Each step goes to the tight neighbor (``dist[y] + cost == dist[x]``)
+    with the smallest (distance, id): the vertex that settled ``x`` in a
+    ``lower_distances`` run.  Returns the steps as (vertex, edge id) pairs,
+    ``x`` first; the final vertex at distance 0 is not listed.
+    """
+    steps = []
+    while dist[x]:
+        _, y, eid = min(
+            (dist[y], y, eid)
+            for y, cost, eid in network.adjacency[x]
+            if dist[y] + cost == dist[x]
+        )
+        steps.append((x, eid))
+        x = y
+    return steps
+
+
 def shortest_path_distances(network: Network, source: int) -> list[int]:
     """Single-source shortest path distances.
 
@@ -184,52 +242,22 @@ def shortest_path_distances(network: Network, source: int) -> list[int]:
     """
     if not 0 <= source < network.vertex_count:
         raise InputError(f"invalid source vertex {source}")
-    inf = network.total_cost
-    dist = [inf] * network.vertex_count
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, cost, _ in network.adjacency[u]:
-            nd = d + cost
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    dist = [network.total_cost] * network.vertex_count
+    lower_distances(network, dist, (source,))
     return dist
 
 
 def shortest_path_edges(network: Network, source: int, target: int) -> list[int]:
-    """Edge ids of one shortest source-target path (deterministic choice)."""
-    dist: dict[int, int] = {source: 0}
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == target:
-            break
-        for v, cost, _ in network.adjacency[u]:
-            nd = d + cost
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    if target not in dist:
+    """Edge ids of one shortest source-target path, in order from the
+    source; each vertex steps back to its tight neighbor with the smallest
+    (distance, id)."""
+    for v in (source, target):
+        if not 0 <= v < network.vertex_count:
+            raise InputError(f"invalid path endpoint {v}")
+    dist = [network.total_cost + 1] * network.vertex_count
+    if lower_distances(network, dist, (source,), stop=(target,)) is None:
         raise InputError(f"no path from {source} to {target}")
-    path = []
-    u = target
-    while u != source:
-        # Walk backwards along any tight predecessor, smallest vertex first.
-        for v, cost, eid in network.adjacency[u]:
-            if v in dist and dist[v] + cost == dist[u]:
-                path.append(eid)
-                u = v
-                break
-        else:
-            raise InternalError("shortest path retrace failed")
-    path.reverse()
-    return path
+    return [eid for _, eid in reversed(tight_path(network, dist, target))]
 
 
 def arc_layout(network: Network):
@@ -299,33 +327,28 @@ def mst_over_points(count: int, dist) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def voronoi_partition(network: Network, terminals: Iterable[int]) -> VoronoiPartition:
-    """Assign every vertex to its nearest terminal, ties to the smallest id."""
+    """Assign every vertex to its nearest terminal, ties to the smallest id:
+    in distance order, each vertex takes the smallest base of its tight
+    neighbors."""
     terms = sorted(set(terminals))
     if not terms:
         raise InputError("voronoi partition needs at least one terminal")
     n = network.vertex_count
-    dist: list[Optional[int]] = [None] * n
-    base = [-1] * n
-    heap = []
     for z in terms:
         if not 0 <= z < n:
             raise InputError(f"invalid terminal {z}")
-        dist[z] = 0
-        base[z] = z
-        heap.append((0, z, z))
-    heapq.heapify(heap)
-    while heap:
-        d, b, u = heapq.heappop(heap)
-        if (d, b) != (dist[u], base[u]):
-            continue
-        for v, cost, _ in network.adjacency[u]:
-            nd = d + cost
-            if dist[v] is None or nd < dist[v] or (nd == dist[v] and b < base[v]):
-                dist[v] = nd
-                base[v] = b
-                heapq.heappush(heap, (nd, b, v))
     inf = network.total_cost
-    return VoronoiPartition(tuple(base), tuple(inf if d is None else d for d in dist))
+    dist = [inf + 1] * n
+    lower_distances(network, dist, terms)
+    base = [-1] * n
+    for v in sorted(range(n), key=dist.__getitem__):
+        if not dist[v]:
+            base[v] = v
+        elif dist[v] <= inf:
+            base[v] = min(
+                base[u] for u, cost, _ in network.adjacency[v] if dist[u] + cost == dist[v]
+            )
+    return VoronoiPartition(tuple(base), tuple(min(d, inf) for d in dist))
 
 
 class BottleneckOracle:

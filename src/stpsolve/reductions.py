@@ -24,7 +24,9 @@ from .graph import (
     Network,
     SteinerTree,
     check_deadline,
+    lower_distances,
     mst_over_points,
+    shortest_path_distances,
     voronoi_partition,
 )
 from . import bounds as _bounds
@@ -127,6 +129,12 @@ class SolveContext:
 class PipelineConfig:
     threshold_ratio: float = 0.01
     deadline: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0 <= self.threshold_ratio <= 1:  # NaN fails the comparisons too
+            raise InputError(
+                f"threshold ratio {self.threshold_ratio!r} is not in [0, 1]"
+            )
 
 
 class _Working:
@@ -235,23 +243,6 @@ class _Working:
         while v in self.merged_into:
             v = self.merged_into[v]
         return v
-
-    def dijkstra(self, source: int, banned: Optional[int] = None) -> dict[int, int]:
-        """Distances from ``source`` in the graph without vertex ``banned``."""
-        dist = {source: 0}
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, (c, _) in self.adj[u].items():
-                if v == banned:
-                    continue
-                nd = d + c
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
 
     def restrict_to_terminal_component(self) -> int:
         """Drop vertices outside the terminals' component (always safe)."""
@@ -369,11 +360,11 @@ class _Working:
     def long_edges(self) -> int:
         if len(self.terminals) <= 1:
             return 0
-        terms = sorted(self.terminals)
-        rows = {z: self.dijkstra(z) for z in terms}
-        _, mst = mst_over_points(
-            len(terms), lambda i, j: rows[terms[i]][terms[j]]
-        )
+        self.restrict_to_terminal_component()
+        inst, _ = self.snapshot()
+        terms = sorted(inst.terminals)
+        rows = [shortest_path_distances(inst.network, z) for z in terms]
+        _, mst = mst_over_points(len(terms), lambda i, j: rows[i][terms[j]])
         if not mst:
             return 0
         cmax = max(c for _, _, c in mst)
@@ -620,11 +611,14 @@ class _Working:
         net = inst.network
         lower = run.lower_bound
         reduced = run.reduced_cost
-        from_root = _bounds.directed_distances(net, reduced, (root,))
-        nonroot = sorted(inst.terminals - {root})
+        nonroot = inst.terminals - {root}
         if not nonroot:
             return 0
-        to_terminal = _bounds.directed_distances(net, reduced, nonroot, reverse=True)
+        from_root = [net.total_cost + 1] * net.vertex_count
+        lower_distances(net, from_root, (root,), reduced)
+        to_terminal = [net.total_cost + 1] * net.vertex_count
+        reversed_costs = [reduced[a ^ 1] for a in range(len(reduced))]
+        lower_distances(net, to_terminal, nonroot, reversed_costs)
         doomed_vertices = []
         for v in sorted(self.alive):
             if v in self.terminals:
@@ -677,9 +671,10 @@ class _Working:
         provably no cheaper than rerouting through that edge.
 
         The reroute distance from the cheap neighbor to another terminal is
-        measured with the terminal itself deleted; going back through it
-        would not reconnect anything, so the plain distance would over-fire
-        (for example on pendant non-terminal neighbors).
+        measured on a snapshot whose entry for the terminal itself is
+        pre-set to -1, so ``lower_distances`` never enters it; going back
+        through it would not reconnect anything, so the plain distance would
+        over-fire (for example on pendant non-terminal neighbors).
         """
         if len(self.terminals) < 2:
             return 0
@@ -692,14 +687,17 @@ class _Working:
             items = sorted((c, v) for v, (c, _) in self.adj[z].items())
             c1, u = items[0]
             c2, second = items[1]
-            reach = self.dijkstra(u, banned=z)
-            detour = None
-            for t in self.terminals:
-                if t != z and t in reach:
-                    d = reach[t]
-                    if detour is None or d < detour:
-                        detour = d
-            if detour is None:
+            self.restrict_to_terminal_component()
+            inst, order = self.snapshot()
+            pos = {v: i for i, v in enumerate(order)}
+            unreached = inst.network.total_cost + 1
+            reach = [unreached] * len(order)
+            reach[pos[z]] = -1
+            lower_distances(inst.network, reach, (pos[u],))
+            detour = min(
+                (reach[pos[t]] for t in self.terminals if t != z), default=unreached
+            )
+            if detour == unreached:
                 continue
             fire = c2 >= c1 + detour
             if not fire and second not in self.terminals:

@@ -467,11 +467,10 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
     # Written so that NaN fails the comparisons.
     if cfg.time_limit is not None and not 0 <= cfg.time_limit < float("inf"):
         raise InputError(f"time limit {cfg.time_limit!r} is not a finite time >= 0")
-    if not 0 <= cfg.threshold_ratio <= 1:
-        raise InputError(f"threshold ratio {cfg.threshold_ratio!r} is not in [0, 1]")
     deadline = (
         time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     )
+    pipeline = PipelineConfig(threshold_ratio=cfg.threshold_ratio, deadline=deadline)
     started = time.perf_counter()
     ctx = SolveContext(root=cfg.root)
     pre: Optional[PreprocessResult] = None
@@ -491,13 +490,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             ctx.offer(instance, rsph(instance).edges)
             check_deadline(deadline)
         if cfg.preprocess:
-            pre = run_pipeline(
-                instance,
-                PipelineConfig(
-                    threshold_ratio=cfg.threshold_ratio, deadline=deadline
-                ),
-                ctx,
-            )
+            pre = run_pipeline(instance, pipeline, ctx)
         else:
             pre = identity_preprocess(instance)
         stats["preprocessing"] = {

@@ -117,6 +117,15 @@ def random_grid(
     return Instance(Network(n, edges), frozenset(terms))
 
 
+def unit_grid_8x8():
+    """Unit-cost 8x8 grid with six terminals drawn by ``random.Random(0)``."""
+    n = 64
+    edges = [(v, v + 1, 1) for v in range(n) if v % 8 + 1 < 8]
+    edges += [(v, v + 8, 1) for v in range(n - 8)]
+    terminals = frozenset(random.Random(0).sample(range(n), 6))
+    return Instance(Network(n, edges), terminals)
+
+
 MAIN_CORPUS_SEED = 20260808
 SMALL_CORPUS_SEED = 90301
 REDUCTION_CORPUS_SEED = 424242

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -12,12 +13,19 @@ from stpsolve import (
     SteinerTree,
     TerminalMissing,
     UnknownEdge,
+    dreyfus_wagner,
     shortest_path_distances,
     validate_tree,
     voronoi_partition,
 )
-from stpsolve.graph import mst_over_points
-from conftest import brute_force_bottleneck, random_instance
+from stpsolve.graph import (
+    arc_layout,
+    lower_distances,
+    mst_over_points,
+    shortest_path_edges,
+    tight_path,
+)
+from conftest import brute_force_bottleneck, random_grid, random_instance
 
 
 class TestNetwork:
@@ -72,6 +80,208 @@ class TestShortestPaths:
             rows = [shortest_path_distances(net, s) for s in range(net.vertex_count)]
             for u, v, w in itertools.combinations(range(net.vertex_count), 3):
                 assert rows[u][w] <= rows[u][v] + rows[v][w]
+
+
+def reference_directed_distances(network, arc_costs, sources, reverse=False):
+    """Copy of the former ``bounds.directed_distances``: multi-source
+    Dijkstra over arc costs; ``reverse`` follows every arc backwards."""
+    flip = 1 if reverse else 0
+    _, _, out = arc_layout(network)
+    inf = network.total_cost + 1
+    dist = [inf] * network.vertex_count
+    heap = []
+    for s in sorted(set(sources)):
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, a in out[u]:
+            nd = d + arc_costs[a ^ flip]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reference_banned_dijkstra(network, source, banned=None):
+    """Copy of the former ``_Working.dijkstra`` on a network: distances of
+    the vertices reached from ``source`` without entering ``banned``."""
+    dist = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, c, _ in network.adjacency[u]:
+            if v == banned:
+                continue
+            nd = d + c
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reference_settlers(network, sources):
+    """Copy of the former key-path search in ``local_search``: for every
+    vertex reached from ``sources``, the (vertex, edge) that settled it."""
+    dist = {v: 0 for v in sources}
+    pred = {}
+    heap = [(0, v) for v in sorted(sources)]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for w, cost, eid in network.adjacency[u]:
+            nd = d + cost
+            if w not in dist or nd < dist[w]:
+                dist[w] = nd
+                pred[w] = (u, eid)
+                heapq.heappush(heap, (nd, w))
+    return pred
+
+
+def kernel_corpus():
+    """150 random instances and 150 grids with many equal-length paths,
+    each with a few sources and random arc costs between 0 and the edge
+    cost, as dual ascent leaves them."""
+    rng = random.Random(8)
+    cases = []
+    for i in range(300):
+        if i % 2:
+            inst = random_instance(rng, min_n=3, max_n=16, max_cost=rng.choice([3, 20]))
+        else:
+            inst = random_grid(rng, 2, 7, costs=rng.choice([(1,), (1, 2)]), max_chords=3)
+        net = inst.network
+        arc_costs = [rng.randint(0, c) for c in arc_layout(net)[1]]
+        sources = rng.sample(range(net.vertex_count), rng.randint(1, 3))
+        cases.append((net, arc_costs, sources, rng))
+    return cases
+
+
+class TestLowerDistances:
+    def fresh(self, net):
+        return [net.total_cost + 1] * net.vertex_count
+
+    def test_multi_source_with_arc_costs(self):
+        for net, arc_costs, sources, _ in kernel_corpus():
+            dist = self.fresh(net)
+            assert lower_distances(net, dist, sources, arc_costs) is None
+            assert dist == reference_directed_distances(net, arc_costs, sources)
+            dist = self.fresh(net)
+            lower_distances(net, dist, sources)
+            edge_costs = arc_layout(net)[1]
+            assert dist == reference_directed_distances(net, edge_costs, sources)
+
+    def test_two_lowerings_equal_one_multi_source_run(self):
+        for net, arc_costs, sources, rng in kernel_corpus():
+            more = rng.sample(range(net.vertex_count), rng.randint(1, 3))
+            dist = self.fresh(net)
+            lower_distances(net, dist, sources, arc_costs)
+            lower_distances(net, dist, more, arc_costs)
+            once = self.fresh(net)
+            lower_distances(net, once, sources + more, arc_costs)
+            assert dist == once
+
+    def test_stop_returns_the_first_settled_stop_vertex(self):
+        hits = 0
+        for net, arc_costs, sources, rng in kernel_corpus():
+            positive = [max(c, 1) for c in arc_costs]  # zero arcs break the order
+            full = reference_directed_distances(net, positive, sources)
+            size = rng.randint(1, min(4, net.vertex_count))
+            stop = set(rng.sample(range(net.vertex_count), size))
+            dist = self.fresh(net)
+            got = lower_distances(net, dist, sources, positive, stop=stop)
+            want = min((full[v], v) for v in stop)[1]
+            assert got == want
+            assert dist[got] == full[got]
+            hits += got not in sources
+        assert hits >= 150
+
+    def test_stop_misses_an_unreachable_vertex(self):
+        net = Network(4, [(0, 1, 1), (2, 3, 1)])
+        dist = self.fresh(net)
+        assert lower_distances(net, dist, [0], stop={3}) is None
+        assert dist == [0, 1, 3, 3]
+
+    def test_barrier_is_never_entered(self):
+        for net, _, sources, rng in kernel_corpus():
+            if net.vertex_count < 2:
+                continue
+            source = sources[0]
+            banned = rng.choice([v for v in range(net.vertex_count) if v != source])
+            dist = self.fresh(net)
+            dist[banned] = -1
+            lower_distances(net, dist, [source])
+            reach = reference_banned_dijkstra(net, source, banned)
+            assert dist[banned] == -1
+            for v in range(net.vertex_count):
+                if v != banned:
+                    assert dist[v] == reach.get(v, net.total_cost + 1)
+
+    def test_reversed_arc_costs_give_distances_to_the_sources(self):
+        for net, arc_costs, sources, _ in kernel_corpus():
+            reversed_costs = [arc_costs[a ^ 1] for a in range(len(arc_costs))]
+            dist = self.fresh(net)
+            lower_distances(net, dist, sources, reversed_costs)
+            want = reference_directed_distances(net, arc_costs, sources, reverse=True)
+            assert dist == want
+
+    def test_tight_path_steps_to_the_settling_vertex(self):
+        for net, _, sources, _ in kernel_corpus():
+            dist = self.fresh(net)
+            lower_distances(net, dist, sources)
+            pred = reference_settlers(net, sources)
+            for x in range(net.vertex_count):
+                want = []
+                y = x
+                while y in pred:
+                    u, eid = pred[y]
+                    want.append((y, eid))
+                    y = u
+                assert tight_path(net, dist, x) == want
+
+
+class TestShortestPathEdges:
+    def test_path_graph(self, fix_path):
+        assert shortest_path_edges(fix_path.network, 0, 2) == [0, 1]
+        assert shortest_path_edges(fix_path.network, 2, 0) == [1, 0]
+        assert shortest_path_edges(fix_path.network, 1, 1) == []
+
+    @pytest.mark.parametrize("source, target", [(3, 0), (-1, 0), (0, 3), (0, -1)])
+    def test_endpoint_out_of_range(self, fix_path, source, target):
+        with pytest.raises(InputError):
+            shortest_path_edges(fix_path.network, source, target)
+
+    def test_no_path(self):
+        with pytest.raises(InputError):
+            shortest_path_edges(Network(4, [(0, 1, 1), (2, 3, 1)]), 0, 3)
+
+    def test_paths_are_shortest(self):
+        for net, _, sources, rng in kernel_corpus():
+            source, target = sources[0], rng.randrange(net.vertex_count)
+            path = shortest_path_edges(net, source, target)
+            at = source
+            for eid in path:
+                u, v, _ = net.edges[eid]
+                at = v if at == u else u if at == v else None
+            assert at == target
+            cost = sum(net.cost_of(e) for e in path)
+            assert cost == shortest_path_distances(net, source)[target]
+
+    def test_dreyfus_wagner_trees_validate_at_their_cost(self):
+        rng = random.Random(60)
+        for i in range(60):
+            if i % 2:
+                inst = random_instance(rng, max_n=12, max_t=5)
+            else:
+                inst = random_grid(rng, 3, 5, costs=(1,), max_t=5)
+            cost, tree = dreyfus_wagner(inst)
+            assert validate_tree(inst, tree) == cost == tree.cost
 
 
 def distance_costs(network, subset):

@@ -30,7 +30,7 @@ from stpsolve import (
 from stpsolve.bounds import best_root_run
 from stpsolve.graph import mst_over_points
 from stpsolve.reductions import PipelineConfig, _Working
-from conftest import random_grid, random_instance
+from conftest import random_grid, random_instance, unit_grid_8x8
 
 
 def reduced_optimum(pre):
@@ -464,6 +464,17 @@ class TestPipeline:
             pre = run_pipeline(inst)
             if pre.changed:
                 assert pre.log.records
+
+    @pytest.mark.parametrize(
+        "ratio", [float("nan"), float("inf"), float("-inf"), -1, -0.01, 1.5, 2]
+    )
+    def test_bad_threshold_ratio_is_an_input_error(self, ratio):
+        # The 8x8 grid reaches the elimination rounds, whose threshold test
+        # is where NaN and infinity used to escape as ValueError and
+        # OverflowError.
+        inst = unit_grid_8x8()
+        with pytest.raises(InputError):
+            run_pipeline(inst, PipelineConfig(threshold_ratio=ratio))
 
 
 class TestUnreduce:

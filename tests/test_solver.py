@@ -27,16 +27,7 @@ from stpsolve import (
     zero_heuristic,
 )
 from stpsolve.bounds import SteinerHeuristic, TerminalIndex
-from conftest import brute_force_smt, random_instance
-
-
-def unit_grid_8x8():
-    """Unit-cost 8x8 grid with six terminals drawn by ``random.Random(0)``."""
-    n = 64
-    edges = [(v, v + 1, 1) for v in range(n) if v % 8 + 1 < 8]
-    edges += [(v, v + 8, 1) for v in range(n - 8)]
-    terminals = frozenset(random.Random(0).sample(range(n), 6))
-    return Instance(Network(n, edges), terminals)
+from conftest import brute_force_smt, random_instance, unit_grid_8x8
 
 
 class ErraticExact(SteinerHeuristic):
