@@ -8,7 +8,6 @@ pipeline.  Instances never mutate, so concurrent solves may share them.
 """
 
 from .graph import (
-    BottleneckOracle,
     InputError,
     Instance,
     InternalError,
@@ -56,13 +55,8 @@ from .reductions import (
     SolveContext,
     contract_edge,
     dual_ascent_elimination,
-    long_edge_test,
-    nearest_vertex_test,
-    ntdk_test,
     run_pipeline,
-    short_links_test,
     simple_reductions,
-    steiner_distance_test,
     unreduce,
 )
 from .solver import (

@@ -121,7 +121,12 @@ def _run_single(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.dump_reduced and result.preprocess is not None:
+    if args.dump_reduced and result.preprocess is None:
+        print(
+            "--dump-reduced: nothing written, time ran out before preprocessing",
+            file=sys.stderr,
+        )
+    elif args.dump_reduced:
         reduced = result.preprocess.reduced
         text = write_instance(reduced)
         try:

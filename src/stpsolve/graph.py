@@ -351,116 +351,6 @@ def voronoi_partition(network: Network, terminals: Iterable[int]) -> VoronoiPart
     return VoronoiPartition(tuple(base), tuple(min(d, inf) for d in dist))
 
 
-class BottleneckOracle:
-    """Safe over-approximation of bottleneck Steiner distances.
-
-    A path's Steiner distance is the maximum cost among its elementary
-    pieces, splitting the path at intermediate terminals; the bottleneck
-    Steiner distance s(u, v) is the minimum Steiner distance over all
-    terminal-mediated routes from u to v.  Exact values are expensive, so
-    this oracle returns the minimum over a candidate family (direct edge,
-    one-terminal relays, and routes through the k nearest terminals of each
-    endpoint glued by the terminal-MST bottleneck).  Every candidate is the
-    max-piece value of an actual route, hence every returned value is >= the
-    true minimum, which is the safety direction edge-exclusion tests need.
-    """
-
-    def __init__(self, network: Network, terminals: Iterable[int], nearest_k: int = 3):
-        self.network = network
-        self.terminals = tuple(sorted(set(terminals)))
-        self.inf = network.total_cost
-        self.rows: dict[int, list[int]] = {
-            z: shortest_path_distances(network, z) for z in self.terminals
-        }
-        n = network.vertex_count
-        self.nearest: list[tuple[int, ...]] = []
-        for u in range(n):
-            ranked = sorted(self.terminals, key=lambda z: (self.rows[z][u], z))
-            self.nearest.append(tuple(ranked[:nearest_k]))
-        # MST over the terminal distance network, used as the relay backbone.
-        terms = self.terminals
-        k = len(terms)
-        _, mst = mst_over_points(k, lambda i, j: self.rows[terms[i]][terms[j]])
-        adj: dict[int, list[tuple[int, int]]] = {z: [] for z in terms}
-        for i, j, cost in mst:
-            adj[terms[i]].append((terms[j], cost))
-            adj[terms[j]].append((terms[i], cost))
-        # For every terminal pair: the max edge on the MST path and the path
-        # edges themselves (needed to certify edge-avoiding routes).
-        self._bottleneck: dict[int, dict[int, int]] = {}
-        self._path_edges: dict[int, dict[int, tuple[tuple[int, int, int], ...]]] = {}
-        for z in terms:
-            maxedge = {z: 0}
-            pedges: dict[int, tuple[tuple[int, int, int], ...]] = {z: ()}
-            stack = [z]
-            seen = {z}
-            while stack:
-                x = stack.pop()
-                for y, cost in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        maxedge[y] = max(maxedge[x], cost)
-                        pedges[y] = pedges[x] + ((x, y, cost),)
-                        stack.append(y)
-            self._bottleneck[z] = maxedge
-            self._path_edges[z] = pedges
-
-    def _segment_from_endpoint_ok(self, endpoint_dist, other_dist, edge_cost) -> bool:
-        # A cheapest path leaving an endpoint of the excluded edge can use
-        # that edge only as its first step; strict inequality rules that out.
-        return endpoint_dist < edge_cost + other_dist
-
-    def _mst_path_ok(self, z1: int, z2: int, u: int, v: int, edge_cost: int) -> bool:
-        for a, b, d in self._path_edges[z1][z2]:
-            if d >= self.rows[a][u] + edge_cost + self.rows[b][v]:
-                return False
-            if d >= self.rows[a][v] + edge_cost + self.rows[b][u]:
-                return False
-        return True
-
-    def query(self, u: int, v: int, exclude_direct_edge: bool = False) -> int:
-        """Upper bound on the bottleneck Steiner distance between u and v.
-
-        With ``exclude_direct_edge`` the bound holds for routes avoiding the
-        edge {u, v}; candidates that cannot be certified edge-avoiding are
-        dropped, which only raises the returned value.
-        """
-        eid = self.network.edge_between(u, v)
-        edge_cost = self.network.cost_of(eid) if eid is not None else None
-        exclude = exclude_direct_edge and edge_cost is not None
-        best = self.inf
-        if edge_cost is not None and not exclude:
-            best = edge_cost
-        rows = self.rows
-        # Single-terminal relay: u -> z -> v, split at z.
-        for z in self.terminals:
-            du, dv = rows[z][u], rows[z][v]
-            if exclude:
-                if not self._segment_from_endpoint_ok(du, rows[z][v], edge_cost):
-                    continue
-                if not self._segment_from_endpoint_ok(dv, rows[z][u], edge_cost):
-                    continue
-            cand = du + dv
-            if cand < best:
-                best = cand
-        # Nearest-terminal pairs glued by the terminal MST.
-        for z1 in self.nearest[u]:
-            du = rows[z1][u]
-            if exclude and not self._segment_from_endpoint_ok(du, rows[z1][v], edge_cost):
-                continue
-            for z2 in self.nearest[v]:
-                dv = rows[z2][v]
-                if exclude:
-                    if not self._segment_from_endpoint_ok(dv, rows[z2][u], edge_cost):
-                        continue
-                    if not self._mst_path_ok(z1, z2, u, v, edge_cost):
-                        continue
-                cand = max(du, self._bottleneck[z1][z2], dv)
-                if cand < best:
-                    best = cand
-        return best
-
-
 def validate_tree(instance: Instance, tree: SteinerTree) -> int:
     """Check a tree against its instance and return its recomputed cost."""
     net = instance.network

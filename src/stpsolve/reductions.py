@@ -10,14 +10,10 @@ to an original solution by unioning provenances with the forced paths.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .graph import (
-    BottleneckOracle,
     InputError,
     Instance,
     InternalError,
@@ -25,9 +21,6 @@ from .graph import (
     SteinerTree,
     check_deadline,
     lower_distances,
-    mst_over_points,
-    shortest_path_distances,
-    voronoi_partition,
 )
 from . import bounds as _bounds
 
@@ -355,163 +348,7 @@ class _Working:
                     break
         return count
 
-    # -- exclusion operations ------------------------------------------------
-
-    def long_edges(self) -> int:
-        if len(self.terminals) <= 1:
-            return 0
-        self.restrict_to_terminal_component()
-        inst, _ = self.snapshot()
-        terms = sorted(inst.terminals)
-        rows = [shortest_path_distances(inst.network, z) for z in terms]
-        _, mst = mst_over_points(len(terms), lambda i, j: rows[i][terms[j]])
-        if not mst:
-            return 0
-        cmax = max(c for _, _, c in mst)
-        doomed = [(u, v) for u, v, c in self.edge_list() if c > cmax]
-        for u, v in doomed:
-            self.remove_edge(u, v)
-        return len(doomed)
-
-    def steiner_distance(self, oracle: Optional[BottleneckOracle] = None) -> int:
-        if len(self.terminals) <= 1:
-            return 0
-        removed = 0
-        self.restrict_to_terminal_component()
-        inst, order = self.snapshot()
-        pos = {v: i for i, v in enumerate(order)}
-        if oracle is None:
-            oracle = BottleneckOracle(inst.network, inst.terminals)
-        # Strictly dominated edges can all go at once: no optimal tree uses
-        # any of them.
-        doomed = [
-            (u, v)
-            for u, v, c in self.edge_list()
-            if c > oracle.query(pos[u], pos[v])
-        ]
-        for u, v in doomed:
-            self.remove_edge(u, v)
-        removed += len(doomed)
-        # Ties against the restricted distance only guarantee that *some*
-        # optimal tree avoids the edge, so apply them one at a time, each
-        # against an oracle for the current graph.  A removal that keeps
-        # every terminal's distances keeps that oracle exact (its rows,
-        # nearest terminals and terminal MST come from them), so the scan
-        # resumes where it stopped: the earlier edges fail again.  Only the
-        # sentinel shrinks, by the removed cost.
-        fresh = None
-        for _ in range(16):
-            if len(self.terminals) <= 1:
-                break
-            if fresh is None:
-                self.restrict_to_terminal_component()
-                inst, order = self.snapshot()
-                pos = {v: i for i, v in enumerate(order)}
-                fresh = BottleneckOracle(inst.network, inst.terminals)
-                sentinel = inst.network.total_cost
-                resume = 0
-            live = self.edge_list()
-            for i in range(resume, len(live)):
-                u, v, c = live[i]
-                alt = fresh.query(pos[u], pos[v], exclude_direct_edge=True)
-                if alt < sentinel and c >= alt:  # sentinel: no certified route
-                    self.remove_edge(u, v)
-                    removed += 1
-                    if self._keeps_distances(fresh.rows.values(), pos, u, v, c):
-                        resume, sentinel = i, sentinel - c
-                    else:
-                        fresh = None
-                    break
-            else:
-                break
-        return removed
-
-    def _keeps_distances(self, rows, pos, u: int, v: int, cost: int) -> bool:
-        """Whether deleting the edge {u, v} of ``cost``, already gone from
-        the graph, left every row's distances as they were.  It did if,
-        wherever the edge was tight (``row[x] + cost == row[y]``), the far
-        end y still has a tight neighbor."""
-        for row in rows:
-            for x, y in ((u, v), (v, u)):
-                dy = row[pos[y]]
-                if row[pos[x]] + cost == dy and not any(
-                    row[pos[w]] + cw == dy for w, (cw, _) in self.adj[y].items()
-                ):
-                    return False
-        return True
-
-    def ntdk(self, max_degree: int = 4, oracle: Optional[BottleneckOracle] = None) -> int:
-        """Replace a non-terminal of degree 3..``max_degree`` by the pairwise
-        edges between its neighbors when, for every set of three or more of
-        them, the star through the vertex costs at least the MST over their
-        bottleneck Steiner distances.
-
-        One snapshot and one oracle serve the whole call; a passed-in
-        ``oracle`` (built on that snapshot) serves it too.  This stays exact
-        because a replacement keeps every shortest-path distance between
-        the surviving vertices: each new edge costs as much as the path
-        through the removed vertex, and other edges are only added or made
-        cheaper.  The oracle's terminal rows, nearest-terminal lists and
-        terminal MST therefore stay valid; only the direct edge between two
-        neighbors may have become cheaper, so queries also take its live cost.
-
-        Vertices are tested smallest id first, as a scan restarted after
-        every replacement would test them.  A vertex that failed is tested
-        again only if a replacement touched it: it neighbored the replaced
-        vertex, or it neighbors two of that vertex's neighbors and may have
-        gained an edge between them.
-        """
-        if len(self.terminals) <= 1:
-            return 0
-        self.restrict_to_terminal_component()
-        inst, order = self.snapshot()
-        pos = {v: i for i, v in enumerate(order)}
-        if oracle is None:
-            oracle = BottleneckOracle(inst.network, inst.terminals)
-        adj = self.adj
-        pending = [v for v in order if v not in self.terminals]  # sorted: a heap
-        queued = set(pending)
-        replaced = 0
-        while pending:
-            u = heapq.heappop(pending)
-            queued.discard(u)
-            deg = len(adj[u])
-            if deg < 3 or deg > max_degree:
-                continue
-            nbrs = sorted(adj[u].items())
-            costs = [c for _, (c, _) in nbrs]
-            ids = [v for v, _ in nbrs]
-            dist = [[0] * deg for _ in range(deg)]
-            for i, j in combinations(range(deg), 2):
-                d = oracle.query(pos[ids[i]], pos[ids[j]])
-                live = adj[ids[i]].get(ids[j])  # may be newer than the oracle
-                dist[i][j] = dist[j][i] = min(d, live[0]) if live else d
-            if any(
-                sum(costs[i] for i in combo)
-                < mst_over_points(size, lambda a, b: dist[combo[a]][combo[b]])[0]
-                for size in range(3, deg + 1)
-                for combo in combinations(range(deg), size)
-            ):
-                continue
-            # Keep the instance shrinking: a replacement may not add more
-            # edges than it deletes.
-            fresh_pairs = sum(
-                1 for i, j in combinations(range(deg), 2) if ids[j] not in adj[ids[i]]
-            )
-            if fresh_pairs > deg:
-                continue
-            self.remove_vertex(u)
-            for i, j in combinations(range(deg), 2):
-                self.add_or_min_edge(
-                    ids[i], ids[j], costs[i] + costs[j], nbrs[i][1][1] + nbrs[j][1][1]
-                )
-            replaced += 1
-            hits = Counter(w for x in ids for w in adj[x])
-            touched = {w for w, k in hits.items() if k >= 2}.union(ids)
-            for w in touched - queued - self.terminals:
-                heapq.heappush(pending, w)
-                queued.add(w)
-        return replaced
+    # -- dual-ascent elimination ---------------------------------------------
 
     def offer(self, tree: SteinerTree, snapshot: Instance, order: list[int]):
         """Offer a tree of ``snapshot`` to the context, expanded through the
@@ -641,78 +478,6 @@ class _Working:
                 self.remove_edge(u, v)
         return len(doomed_vertices) + len(doomed_edges)
 
-    # -- inclusion operations ------------------------------------------------
-
-    def short_links(self) -> int:
-        if len(self.terminals) < 2:
-            return 0
-        self.restrict_to_terminal_component()
-        inst, order = self.snapshot()
-        vor = voronoi_partition(inst.network, inst.terminals)
-        regions: dict[int, list[tuple[int, int, int]]] = {}
-        for u, v, c in inst.network.edges:
-            bu, bv = vor.base[u], vor.base[v]
-            if bu != bv:
-                regions.setdefault(bu, []).append((c, u, v))
-                regions.setdefault(bv, []).append((c, v, u))
-        for z in sorted(regions):
-            links = sorted(regions[z])
-            if len(links) < 2:
-                continue
-            c1, u1, v1 = links[0]
-            c2, _, _ = links[1]
-            if c2 >= vor.dist[u1] + c1 + vor.dist[v1]:
-                self.contract_edge_pair(order[u1], order[v1])
-                return 1
-        return 0
-
-    def nearest_vertex(self) -> int:
-        """Contract a terminal's cheapest edge when every alternative exit is
-        provably no cheaper than rerouting through that edge.
-
-        The reroute distance from the cheap neighbor to another terminal is
-        measured on a snapshot whose entry for the terminal itself is
-        pre-set to -1, so ``lower_distances`` never enters it; going back
-        through it would not reconnect anything, so the plain distance would
-        over-fire (for example on pendant non-terminal neighbors).
-        """
-        if len(self.terminals) < 2:
-            return 0
-        contracted = 0
-        for z in sorted(self.terminals):
-            if z not in self.terminals or z not in self.alive:
-                continue
-            if self.degree(z) < 2:
-                continue
-            items = sorted((c, v) for v, (c, _) in self.adj[z].items())
-            c1, u = items[0]
-            c2, second = items[1]
-            self.restrict_to_terminal_component()
-            inst, order = self.snapshot()
-            pos = {v: i for i, v in enumerate(order)}
-            unreached = inst.network.total_cost + 1
-            reach = [unreached] * len(order)
-            reach[pos[z]] = -1
-            lower_distances(inst.network, reach, (pos[u],))
-            detour = min(
-                (reach[pos[t]] for t in self.terminals if t != z), default=unreached
-            )
-            if detour == unreached:
-                continue
-            fire = c2 >= c1 + detour
-            if not fire and second not in self.terminals:
-                others = [
-                    c
-                    for side in (z, second)
-                    for n, (c, _) in self.adj[side].items()
-                    if {side, n} not in ({z, u}, {z, second})
-                ]
-                fire = all(c >= c1 + detour for c in others)
-            if fire:
-                self.contract_edge_pair(z, u)
-                contracted += 1
-        return contracted
-
     # -- finalization ----------------------------------------------------------
 
     def finalize(self, stats: dict, changed: int) -> PreprocessResult:
@@ -778,38 +543,10 @@ def simple_reductions(instance: Instance) -> PreprocessResult:
     return _driver(instance, "simple", lambda w: w.simple_fixpoint())
 
 
-def long_edge_test(instance: Instance) -> PreprocessResult:
-    return _driver(instance, "long_edges", lambda w: w.long_edges())
-
-
-def steiner_distance_test(
-    instance: Instance, oracle: Optional[BottleneckOracle] = None
-) -> PreprocessResult:
-    return _driver(
-        instance, "steiner_distance", lambda w: w.steiner_distance(oracle=oracle)
-    )
-
-
-def ntdk_test(
-    instance: Instance,
-    oracle: Optional[BottleneckOracle] = None,
-    max_degree: int = 4,
-) -> PreprocessResult:
-    return _driver(instance, "ntdk", lambda w: w.ntdk(max_degree, oracle=oracle))
-
-
 def dual_ascent_elimination(instance: Instance, upper_bound: int) -> PreprocessResult:
     return _driver(
         instance, "dual_ascent_bounds", lambda w: w.dual_ascent_elimination(upper_bound)
     )
-
-
-def short_links_test(instance: Instance) -> PreprocessResult:
-    return _driver(instance, "short_links", lambda w: w.short_links())
-
-
-def nearest_vertex_test(instance: Instance) -> PreprocessResult:
-    return _driver(instance, "nearest_vertex", lambda w: w.nearest_vertex())
 
 
 def identity_preprocess(instance: Instance) -> PreprocessResult:
@@ -824,8 +561,9 @@ def identity_preprocess(instance: Instance) -> PreprocessResult:
     return PreprocessResult(instance, instance, log, 0, {}, image, 0)
 
 
-# Every operation's ``changed`` key.  The default schedule runs ``simple`` and
-# ``dual_ascent_bounds``; the other five run only through their ``*_test`` functions.
+# Every operation's ``changed`` key.  The schedule runs only ``simple`` and
+# ``dual_ascent_bounds``; the other five names stay, always 0, because the
+# stats schema that ``--stats`` and the benchmark report has all seven keys.
 REDUCTION_OPS = (
     "simple",
     "long_edges",

@@ -15,7 +15,7 @@ import heapq
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graph import (
     InputError,
@@ -518,7 +518,8 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             stats["root"] = pre.vertex_image[ctx.root]
             return result("optimal", tree)
 
-        if ctx.root is None:
+        picked = ctx.root is None
+        if picked:
             root = select_root(reduced, deadline)
         else:
             root = pre.vertex_image[ctx.root]
@@ -528,6 +529,11 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         heuristic.deadline = deadline
         stats["heuristic"] = heuristic.name
         stats["root"] = root
+        if picked:
+            # No reduction round proved a bound.  The heuristic is admissible,
+            # so its value at the root for every terminal bounds the optimum.
+            full = heuristic.eval_mask(root, heuristic.index.full_mask)
+            ctx.lower_bound = max(ctx.lower_bound, full + pre.offset)
 
         cost, reduced_tree, search = ds_star(
             reduced, root, heuristic, cfg.pruning, deadline

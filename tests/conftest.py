@@ -1,8 +1,7 @@
 """Shared fixtures, random instance generation and brute-force oracles.
 
-The oracles here are deliberately independent of the library's algorithms:
-Steiner trees by edge-subset enumeration, bottleneck values by path
-enumeration plus a minimax closure over terminal relays.
+The oracle here is deliberately independent of the library's algorithms:
+Steiner trees by edge-subset enumeration.
 """
 
 import itertools
@@ -198,75 +197,3 @@ def brute_force_smt(instance):
             if seen == verts:
                 best = cost
     return best
-
-
-def enumerate_simple_paths(network, source, target, banned_edge=None):
-    """All simple paths as edge-id lists (exponential; tiny graphs only)."""
-    paths = []
-
-    def walk(u, visited, edges):
-        if u == target:
-            paths.append(list(edges))
-            return
-        for v, _, eid in network.adjacency[u]:
-            if v in visited or eid == banned_edge:
-                continue
-            visited.add(v)
-            edges.append(eid)
-            walk(v, visited, edges)
-            edges.pop()
-            visited.remove(v)
-
-    walk(source, {source}, [])
-    return paths
-
-
-def _elementary_distance(network, terminals, x, y, banned_edge=None):
-    """Cheapest simple x-y path with no terminal strictly inside it."""
-    best = None
-    for path in enumerate_simple_paths(network, x, y, banned_edge):
-        inner = set()
-        cur = x
-        for eid in path[:-1]:
-            a, b, _ = network.edges[eid]
-            cur = b if a == cur else a
-            inner.add(cur)
-        if inner & terminals:
-            continue
-        cost = sum(network.edges[e][2] for e in path)
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
-def brute_force_bottleneck(instance, u, v, banned_edge=None):
-    """Reference bottleneck Steiner value between u and v.
-
-    Minimax closure over terminal relays of elementary distances: the
-    smallest value B such that u and v can be linked by a chain of
-    terminal-free path pieces, each of cost at most B, meeting only at
-    terminals.  This is the quantity the edge-exclusion argument needs.
-    """
-    terms = set(instance.terminals)
-    points = sorted(terms | {u, v})
-    idx = {p: i for i, p in enumerate(points)}
-    inf = instance.network.total_cost  # the library's unreachable surrogate
-    k = len(points)
-    table = [[inf] * k for _ in range(k)]
-    for i in range(k):
-        table[i][i] = 0
-        for j in range(i + 1, k):
-            d = _elementary_distance(
-                instance.network, terms, points[i], points[j], banned_edge
-            )
-            if d is not None:
-                table[i][j] = table[j][i] = d
-    for mid in range(k):
-        if points[mid] not in terms:
-            continue  # chains may only meet at terminals
-        for i in range(k):
-            for j in range(k):
-                via = max(table[i][mid], table[mid][j])
-                if via < table[i][j]:
-                    table[i][j] = via
-    return table[idx[u]][idx[v]]

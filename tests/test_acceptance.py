@@ -29,12 +29,7 @@ from stpsolve import (
 from stpsolve.bounds import SteinerHeuristic, TerminalIndex
 from stpsolve import (
     contract_edge,
-    long_edge_test,
-    nearest_vertex_test,
-    ntdk_test,
-    short_links_test,
     simple_reductions,
-    steiner_distance_test,
     dual_ascent_elimination,
     SteinerTree,
     unreduce,
@@ -238,17 +233,12 @@ def test_criterion_07_reduction_safety_gates(reduction_corpus, fix_ntdk):
     started = time.perf_counter()
     operations = [
         ("simple", simple_reductions),
-        ("long_edges", long_edge_test),
-        ("steiner_distance", steiner_distance_test),
-        ("ntdk", ntdk_test),
         (
             "dual_ascent_bounds",
             lambda inst: dual_ascent_elimination(
                 inst, upper_bound_pipeline(inst, select_root(inst)).cost
             ),
         ),
-        ("short_links", short_links_test),
-        ("nearest_vertex", nearest_vertex_test),
         ("pipeline", run_pipeline),
     ]
     failures = []

@@ -135,6 +135,17 @@ class TestSingleRun:
         assert dump.exists()
         assert "reduction log" in capsys.readouterr().err
 
+    def test_dump_reduced_after_an_early_timeout_says_nothing_was_written(
+        self, k4_stp, tmp_path, capsys
+    ):
+        dump = tmp_path / "reduced.gr"
+        code = main([str(k4_stp), "--time-limit", "0", "--dump-reduced", str(dump)])
+        assert code == 4
+        assert not dump.exists()
+        out = capsys.readouterr()
+        assert "--dump-reduced: nothing written" in out.err
+        assert out.out.startswith("VALUE ")
+
     def test_dump_reduced_into_a_missing_directory(self, k4_stp, tmp_path, capsys):
         target = tmp_path / "missing" / "reduced.gr"
         assert main([str(k4_stp), "--dump-reduced", str(target)]) == 2

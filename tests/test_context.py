@@ -24,7 +24,7 @@ from stpsolve import (
 from stpsolve.bounds import best_root_run
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
-from conftest import random_grid, random_instance
+from conftest import random_grid, random_instance, unit_grid_8x8
 
 
 def unit_grid(width, height, terminals, max_cost, seed):
@@ -217,6 +217,23 @@ class TestTimeouts:
         elapsed = time.perf_counter() - start
         assert validate_tree(inst, result.tree) == result.cost
         assert elapsed <= limit + max(0.25, 0.1 * limit)
+
+    @pytest.mark.parametrize("heuristic", ["auto", "da", "onetree"])
+    def test_a_search_timeout_without_preprocessing_reports_a_bound(
+        self, monkeypatch, heuristic
+    ):
+        # Without preprocessing no reduction round proves a bound, so the
+        # solve takes the heuristic's value at the root for all terminals.
+        def search(*args, **kwargs):
+            raise SolveTimeout()
+
+        monkeypatch.setattr(stpsolve.solver, "ds_star", search)
+        inst = unit_grid_8x8()
+        config = SolveConfig(preprocess=False, heuristic=heuristic, time_limit=60.0)
+        result = solve(inst, config)
+        assert result.status == "timeout"
+        assert 0 < result.stats["lower_bound"] <= optimum(inst)
+        assert result.stats["upper_bound"] == result.cost >= optimum(inst)
 
     def test_search_counters_survive_a_timeout(self):
         inst = unit_grid(15, 15, 10, 1, 9)

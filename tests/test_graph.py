@@ -5,7 +5,6 @@ import random
 import pytest
 
 from stpsolve import (
-    BottleneckOracle,
     InputError,
     Instance,
     Network,
@@ -25,7 +24,7 @@ from stpsolve.graph import (
     shortest_path_edges,
     tight_path,
 )
-from conftest import brute_force_bottleneck, random_grid, random_instance
+from conftest import random_grid, random_instance
 
 
 class TestNetwork:
@@ -415,42 +414,6 @@ class TestVoronoi:
             for u in range(inst.network.vertex_count):
                 best = min((rows[z][u], z) for z in terms)
                 assert (vor.dist[u], vor.base[u]) == best
-
-
-class TestBottleneck:
-    def test_path_endpoints(self, fix_path):
-        oracle = BottleneckOracle(fix_path.network, fix_path.terminals)
-        assert oracle.query(0, 2) == 5
-
-    def test_k4_splits_at_terminal(self, fix_k4):
-        oracle = BottleneckOracle(fix_k4.network, fix_k4.terminals)
-        assert oracle.query(0, 3) == 15
-
-    def test_diamond(self, fix_diamond):
-        oracle = BottleneckOracle(fix_diamond.network, fix_diamond.terminals)
-        assert oracle.query(0, 1) == 2
-
-    def test_over_approximates_reference_on_small_graphs(self):
-        rng = random.Random(19)
-        for _ in range(25):
-            inst = random_instance(rng, min_n=4, max_n=8, max_cost=12)
-            oracle = BottleneckOracle(inst.network, inst.terminals)
-            n = inst.network.vertex_count
-            for u in range(n):
-                for v in range(u + 1, n):
-                    approx = oracle.query(u, v)
-                    exact = brute_force_bottleneck(inst, u, v)
-                    assert approx >= exact, (u, v, approx, exact)
-
-    def test_restricted_variant_over_approximates(self):
-        rng = random.Random(23)
-        for _ in range(25):
-            inst = random_instance(rng, min_n=4, max_n=8, max_cost=12)
-            oracle = BottleneckOracle(inst.network, inst.terminals)
-            for eid, (u, v, _) in enumerate(inst.network.edges):
-                approx = oracle.query(u, v, exclude_direct_edge=True)
-                exact = brute_force_bottleneck(inst, u, v, banned_edge=eid)
-                assert approx >= exact, (u, v, approx, exact)
 
 
 class TestValidateTree:

@@ -8,15 +8,18 @@ from stpsolve import (
     MissingHeader,
     NonPositiveWeight,
     SteinerTree,
+    StpError,
     VertexOutOfRange,
     dreyfus_wagner,
     parse_gr,
     parse_instance,
     parse_stp,
     solve,
+    validate_tree,
     write_instance,
     write_solution,
 )
+from stpsolve.cli import main
 from stpsolve.instance_io import FormatError, detect_format
 from conftest import random_instance
 
@@ -218,3 +221,57 @@ class TestRoundTrip:
             labels = tuple(i + 1 for i in range(inst.network.vertex_count))
             text = write_solution(result.tree, inst.network, labels)
             assert text.splitlines()[0] == f"VALUE {result.cost}"
+
+
+def mangle(rng, data: bytes) -> bytes:
+    """Cut ``data`` at a random byte, overwrite 1-4 of its bytes, or insert a
+    token that a number field might choke on."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return data[: rng.randrange(len(data))]
+    if kind == 1:
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(len(out))] = rng.randrange(256)
+        return bytes(out)
+    token = rng.choice([b"-", b"nan", b"1e5", str(rng.randrange(10**19, 10**20)).encode()])
+    at = rng.randrange(len(data) + 1)
+    return data[:at] + token + data[at:]
+
+
+def mangled_texts(seed, count):
+    """``count`` mangled ``.stp`` and ``.gr`` files of seeded random
+    instances, as (suffix, bytes) pairs."""
+    rng = random.Random(seed)
+    for i in range(count):
+        fmt = ("stp", "gr")[i % 2]
+        text = write_instance(random_instance(rng), fmt=fmt).encode("utf-8")
+        yield fmt, mangle(rng, text)
+
+
+class TestMangledInput:
+    def test_parse_raises_only_stp_errors_and_parsed_instances_solve(self):
+        parsed_count = 0
+        for _, data in mangled_texts(37, 1000):
+            try:
+                parsed = parse_instance(data)
+            except StpError:
+                continue
+            parsed_count += 1
+            inst = parsed.instance
+            result = solve(inst)
+            assert result.status == "optimal"
+            assert validate_tree(inst, result.tree) == result.cost
+        assert parsed_count >= 20  # most mangled files fail to parse, not all
+
+    def test_cli_exits_0_or_2_without_a_traceback(self, tmp_path, capsys):
+        codes = set()
+        for i, (fmt, data) in enumerate(mangled_texts(41, 40)):
+            target = tmp_path / f"mangled{i}.{fmt}"
+            target.write_bytes(data)
+            code = main([str(target)])
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            assert "Traceback" not in err
+            codes.add(code)
+        assert codes == {0, 2}

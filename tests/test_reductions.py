@@ -1,10 +1,8 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from stpsolve import (
-    BottleneckOracle,
     InputError,
     Instance,
     InternalError,
@@ -15,22 +13,16 @@ from stpsolve import (
     dreyfus_wagner,
     dual_ascent,
     dual_ascent_elimination,
-    long_edge_test,
-    nearest_vertex_test,
-    ntdk_test,
     run_pipeline,
     select_root,
-    short_links_test,
     simple_reductions,
-    steiner_distance_test,
     unreduce,
     upper_bound_pipeline,
     validate_tree,
 )
 from stpsolve.bounds import best_root_run
-from stpsolve.graph import mst_over_points
 from stpsolve.reductions import PipelineConfig, _Working
-from conftest import random_grid, random_instance, unit_grid_8x8
+from conftest import random_instance, unit_grid_8x8
 
 
 def reduced_optimum(pre):
@@ -78,237 +70,6 @@ class TestSimpleReductions:
         pre = simple_reductions(fix_star)
         assert pre.offset == 9
         assert len(pre.reduced.terminals) == 1
-
-
-class TestLongEdges:
-    def test_k4_drops_edges_above_terminal_mst(self, fix_k4):
-        pre = long_edge_test(fix_k4)
-        assert pre.changed == 2
-        costs = sorted(c for _, _, c in pre.reduced.network.edges)
-        assert costs == [1, 11, 12, 15]
-        assert reduced_optimum(pre) + pre.offset == 27
-
-    def test_no_change_when_all_edges_short(self, fix_path):
-        assert long_edge_test(fix_path).changed == 0
-
-    def test_single_terminal_skipped(self):
-        inst = Instance(Network(2, [(0, 1, 99)]), frozenset({0}))
-        assert long_edge_test(inst).changed == 0
-
-
-class TestSteinerDistance:
-    def test_k4_removes_dominated_edge(self, fix_k4):
-        pre = steiner_distance_test(fix_k4)
-        removed = {
-            (u, v)
-            for u, v, _ in fix_k4.network.edges
-            if pre.vertex_image[u] is not None
-            and pre.vertex_image[v] is not None
-            and pre.reduced.network.edge_between(
-                pre.vertex_image[u], pre.vertex_image[v]
-            )
-            is None
-        }
-        assert (0, 3) in removed  # the direct a-d edge exceeds the relay value
-        assert reduced_optimum(pre) + pre.offset == 27
-
-    def test_path_untouched(self, fix_path):
-        assert steiner_distance_test(fix_path).changed == 0
-
-    def test_accepts_prebuilt_oracle(self, fix_k4):
-        oracle = BottleneckOracle(fix_k4.network, fix_k4.terminals)
-        assert steiner_distance_test(fix_k4, oracle).changed >= 1
-
-
-class TestNtdk:
-    def test_center_replacement_preserves_optimum(self, fix_ntdk):
-        before = dreyfus_wagner(fix_ntdk, 0)[0]
-        assert before == 8
-        pre = ntdk_test(fix_ntdk)
-        assert pre.changed == 1
-        assert pre.reduced.network.vertex_count == 3
-        assert reduced_optimum(pre) + pre.offset == before
-
-    def test_star_center_not_applicable(self, fix_star):
-        # incident sum 9 is below the relay spanning cost 11
-        assert ntdk_test(fix_star).changed == 0
-
-    def test_expensive_neighbor_blocks(self):
-        # relay spanning cost 5 + 102 exceeds the incident sum 105, so the
-        # degree-3 center with one far terminal neighbor must survive
-        net = Network(4, [(3, 0, 2), (3, 1, 3), (3, 2, 100)])
-        inst = Instance(net, frozenset({0, 1, 2}))
-        assert ntdk_test(inst).changed == 0
-
-
-
-def restarting_ntdk(w, max_degree=4, nearest_k=3):
-    """Reference NTDk: a fresh snapshot and oracle after every replacement,
-    then a new scan from the smallest vertex id."""
-    replaced = 0
-    while len(w.terminals) > 1:
-        w.restrict_to_terminal_component()
-        inst, order = w.snapshot()
-        pos = {v: i for i, v in enumerate(order)}
-        oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
-        fired = False
-        for u in sorted(w.alive):
-            if u in w.terminals:
-                continue
-            deg = w.degree(u)
-            if deg < 3 or deg > max_degree:
-                continue
-            nbrs = sorted(w.adj[u].items())
-            costs = [c for _, (c, _) in nbrs]
-            ids = [v for v, _ in nbrs]
-            ok = True
-            for size in range(3, deg + 1):
-                for combo in combinations(range(deg), size):
-                    pts = [pos[ids[i]] for i in combo]
-                    mst_cost, _ = mst_over_points(
-                        len(pts), lambda i, j: oracle.query(pts[i], pts[j])
-                    )
-                    if sum(costs[i] for i in combo) < mst_cost:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            fresh_pairs = sum(
-                1
-                for i, j in combinations(range(deg), 2)
-                if ids[j] not in w.adj[ids[i]]
-            )
-            if fresh_pairs > deg:
-                continue
-            pairs = [
-                (ids[i], ids[j], costs[i] + costs[j], nbrs[i][1][1] + nbrs[j][1][1])
-                for i, j in combinations(range(deg), 2)
-            ]
-            w.remove_vertex(u)
-            for x, y, c, prov in pairs:
-                w.add_or_min_edge(x, y, c, prov)
-            replaced += 1
-            fired = True
-            break
-        if not fired:
-            break
-    return replaced
-
-
-def restarting_ntdk_test(instance):
-    w = _Working(instance)
-    changed = restarting_ntdk(w)
-    return w.finalize({"ntdk": {"changed": changed}}, changed)
-
-
-def random_cost_grid(rng):
-    """A w x h grid (6..12 per side) with costs from {1, 2, 5, 20}, up to
-    four random chords and 3..10 terminals."""
-    return random_grid(rng, 6, 12, (1, 2, 5, 20), max_chords=4, min_t=3, max_t=10)
-
-
-class TestNtdkWorklist:
-    """The single-oracle worklist makes the same replacements, in the same
-    order, as the restarting scan."""
-
-    def assert_same(self, instances, min_multi):
-        multi = 0
-        for inst in instances:
-            want = restarting_ntdk_test(inst)
-            got = ntdk_test(inst)
-            assert got.changed == want.changed
-            assert got.reduced.network.edges == want.reduced.network.edges
-            assert got.reduced.terminals == want.reduced.terminals
-            assert got.log.records == want.log.records
-            multi += want.changed >= 2
-        assert multi >= min_multi  # the corpus exercises re-queueing
-
-    def test_random_instances(self):
-        rng = random.Random(89)
-        self.assert_same([random_instance(rng) for _ in range(400)], 100)
-
-    def test_random_cost_grids(self):
-        rng = random.Random(97)
-        self.assert_same([random_cost_grid(rng) for _ in range(60)], 55)
-
-    def test_passed_oracle_serves_the_whole_call(self):
-        rng = random.Random(101)
-        for _ in range(100):
-            inst = random_instance(rng)
-            oracle = BottleneckOracle(inst.network, inst.terminals)
-            got = ntdk_test(inst, oracle=oracle)
-            want = ntdk_test(inst)
-            assert got.changed == want.changed
-            assert got.reduced.network.edges == want.reduced.network.edges
-            assert got.log.records == want.log.records
-
-
-def rebuilding_steiner_distance(w, nearest_k=3):
-    """Reference Steiner-distance test: a fresh snapshot and oracle after
-    every tie removal, then a new scan from the first edge."""
-    if len(w.terminals) <= 1:
-        return 0
-    removed = 0
-    w.restrict_to_terminal_component()
-    inst, order = w.snapshot()
-    pos = {v: i for i, v in enumerate(order)}
-    oracle = BottleneckOracle(inst.network, inst.terminals, nearest_k)
-    doomed = [
-        (u, v) for u, v, c in w.edge_list() if c > oracle.query(pos[u], pos[v])
-    ]
-    for u, v in doomed:
-        w.remove_edge(u, v)
-    removed += len(doomed)
-    for _ in range(16):
-        if len(w.terminals) <= 1:
-            break
-        w.restrict_to_terminal_component()
-        inst, order = w.snapshot()
-        pos = {v: i for i, v in enumerate(order)}
-        fresh = BottleneckOracle(inst.network, inst.terminals, nearest_k)
-        sentinel = inst.network.total_cost
-        fired = False
-        for u, v, c in w.edge_list():
-            alt = fresh.query(pos[u], pos[v], exclude_direct_edge=True)
-            if alt >= sentinel:
-                continue
-            if c >= alt:
-                w.remove_edge(u, v)
-                removed += 1
-                fired = True
-                break
-        if not fired:
-            break
-    return removed
-
-
-class TestSteinerDistanceOracleReuse:
-    """Keeping the oracle across distance-preserving tie removals makes the
-    same removals, in the same order, as rebuilding it after each one."""
-
-    def assert_same(self, instances, min_multi):
-        multi = 0
-        for inst in instances:
-            w = _Working(inst)
-            changed = rebuilding_steiner_distance(w)
-            want = w.finalize({}, changed)
-            got = steiner_distance_test(inst)
-            assert got.changed == want.changed
-            assert got.reduced.network.edges == want.reduced.network.edges
-            assert got.reduced.terminals == want.reduced.terminals
-            assert got.log.records == want.log.records
-            multi += want.changed >= 2
-        assert multi >= min_multi  # the corpus exercises repeated removals
-
-    def test_random_instances(self):
-        rng = random.Random(149)
-        self.assert_same([random_instance(rng) for _ in range(600)], 250)
-
-    def test_grids_with_tied_costs(self):
-        rng = random.Random(151)
-        self.assert_same([random_grid(rng, max_side=7) for _ in range(600)], 500)
 
 
 class TestDualAscentElimination:
@@ -363,64 +124,6 @@ class TestDualAscentElimination:
             assert ctx.run is None
             assert ctx.root is not None
 
-class TestShortLinks:
-    def test_two_parallel_paths_contract_the_cheap_link(self):
-        # terminals joined by one cheap and one expensive disjoint path
-        net = Network(
-            6,
-            [(0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 5), (4, 5, 5), (5, 1, 5)],
-        )
-        inst = Instance(net, frozenset({0, 1}))
-        before = dreyfus_wagner(inst, 0)[0]
-        pre = short_links_test(inst)
-        assert pre.changed == 1
-        assert reduced_optimum(pre) + pre.offset == before
-
-    def test_single_link_region_skipped(self, fix_path):
-        assert short_links_test(fix_path).changed == 0
-
-    def test_preserves_optimum_on_random_instances(self):
-        rng = random.Random(73)
-        for _ in range(25):
-            inst = random_instance(rng)
-            opt = dreyfus_wagner(inst, min(inst.terminals))[0]
-            pre = short_links_test(inst)
-            assert reduced_optimum(pre) + pre.offset == opt
-
-
-class TestNearestVertex:
-    def test_cheap_edge_near_other_terminal(self):
-        net = Network(4, [(0, 1, 1), (1, 2, 1), (0, 3, 5)])
-        inst = Instance(net, frozenset({0, 2}))
-        pre = nearest_vertex_test(inst)
-        assert pre.changed == 1
-        assert reduced_optimum(pre) + pre.offset == 2
-
-    def test_degree_one_terminals_skipped(self, fix_star):
-        assert nearest_vertex_test(fix_star).changed == 0
-
-    def test_cheap_second_edge_blocks(self):
-        net = Network(4, [(0, 1, 4), (1, 2, 4), (0, 3, 4), (3, 2, 4)])
-        inst = Instance(net, frozenset({0, 2}))
-        assert nearest_vertex_test(inst).changed == 0
-
-    def test_pendant_neighbor_never_contracted(self):
-        # the cheap neighbor of terminal 4 is the dead end 5: rerouting
-        # through the terminal itself must not count as a reconnection
-        net = Network(
-            8,
-            [
-                (0, 1, 1), (0, 7, 1), (1, 2, 14), (1, 6, 12), (1, 7, 3),
-                (2, 3, 20), (3, 4, 15), (3, 6, 18), (3, 7, 11), (4, 5, 1),
-                (4, 6, 7),
-            ],
-        )
-        inst = Instance(net, frozenset({4, 6, 7}))
-        opt = dreyfus_wagner(inst, 4)[0]
-        assert opt == 21
-        pre = nearest_vertex_test(inst)
-        assert reduced_optimum(pre) + pre.offset == opt
-
 
 class TestPipeline:
     def test_diamond_fully_solved(self, fix_diamond):
@@ -443,21 +146,10 @@ class TestPipeline:
             assert second.reduced.terminals == first.reduced.terminals
 
     def test_monotone_shrinkage_per_operation(self, reduction_corpus):
-        ops = [
-            simple_reductions,
-            long_edge_test,
-            steiner_distance_test,
-            ntdk_test,
-            short_links_test,
-            nearest_vertex_test,
-        ]
         for inst in reduction_corpus[:60]:
-            for op in ops:
-                pre = op(inst)
-                assert (
-                    pre.reduced.network.vertex_count <= inst.network.vertex_count
-                )
-                assert pre.reduced.network.edge_count <= inst.network.edge_count
+            pre = simple_reductions(inst)
+            assert pre.reduced.network.vertex_count <= inst.network.vertex_count
+            assert pre.reduced.network.edge_count <= inst.network.edge_count
 
     def test_changes_always_logged(self, reduction_corpus):
         for inst in reduction_corpus[:40]:

@@ -1,7 +1,8 @@
 """The default reduction schedule: simple reductions plus rounds of
 dual-ascent elimination.  Default solves agree with the Dreyfus-Wagner
-oracle and with solves that skip preprocessing, and the bottleneck and
-inclusion tests stay off the solve path: their counters read 0."""
+oracle and with solves that skip preprocessing.  The stats keep a counter
+for each of the five other operation names of the schema, and those
+counters read 0."""
 
 import random
 
