@@ -19,7 +19,6 @@ from .graph import (
     UnknownEdge,
     shortest_path_distances,
     validate_tree,
-    voronoi_partition,
 )
 from .instance_io import (
     CountMismatch,
@@ -49,7 +48,6 @@ from .bounds import (
     zero_heuristic,
 )
 from .reductions import (
-    PipelineConfig,
     PreprocessResult,
     ReductionLog,
     SolveContext,

@@ -127,16 +127,16 @@ def _run_single(args) -> int:
             file=sys.stderr,
         )
     elif args.dump_reduced:
-        reduced = result.preprocess.reduced
+        pre = result.preprocess
+        reduced = pre.reduced
         text = write_instance(reduced)
         try:
             Path(args.dump_reduced).write_text(text, encoding="utf-8")
         except OSError as exc:
             print(f"error: --dump-reduced: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        log = result.preprocess.log
         print(
-            f"reduction log: {len(log.records)} records, offset {log.offset}, "
+            f"reduction log: {pre.changed} changes, offset {pre.offset}, "
             f"{reduced.network.vertex_count} vertices and "
             f"{reduced.network.edge_count} edges remain",
             file=sys.stderr,

@@ -168,14 +168,6 @@ class SteinerTree:
         return cls(ids, root, sum(network.cost_of(e) for e in ids))
 
 
-@dataclass(frozen=True)
-class VoronoiPartition:
-    """Nearest terminal (``base``) and its distance for every vertex."""
-
-    base: tuple[int, ...]
-    dist: tuple[int, ...]
-
-
 def lower_distances(
     network: Network,
     dist: list[int],
@@ -324,31 +316,6 @@ def mst_over_points(count: int, dist) -> tuple[int, list[tuple[int, int, int]]]:
                     best_cost[j] = d
                     best_from[j] = pick
     return total, edges
-
-
-def voronoi_partition(network: Network, terminals: Iterable[int]) -> VoronoiPartition:
-    """Assign every vertex to its nearest terminal, ties to the smallest id:
-    in distance order, each vertex takes the smallest base of its tight
-    neighbors."""
-    terms = sorted(set(terminals))
-    if not terms:
-        raise InputError("voronoi partition needs at least one terminal")
-    n = network.vertex_count
-    for z in terms:
-        if not 0 <= z < n:
-            raise InputError(f"invalid terminal {z}")
-    inf = network.total_cost
-    dist = [inf + 1] * n
-    lower_distances(network, dist, terms)
-    base = [-1] * n
-    for v in sorted(range(n), key=dist.__getitem__):
-        if not dist[v]:
-            base[v] = v
-        elif dist[v] <= inf:
-            base[v] = min(
-                base[u] for u, cost, _ in network.adjacency[v] if dist[u] + cost == dist[v]
-            )
-    return VoronoiPartition(tuple(base), tuple(min(d, inf) for d in dist))
 
 
 def validate_tree(instance: Instance, tree: SteinerTree) -> int:

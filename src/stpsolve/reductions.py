@@ -25,39 +25,18 @@ from .graph import (
 from . import bounds as _bounds
 
 
-@dataclass(frozen=True)
-class EdgeIntroduced:
-    edge: tuple[int, int]
-    cost: int
-    replaces: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EdgeContracted:
-    edge: tuple[int, int]
-    cost: int
-    absorbed: int
-    path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VertexRemoved:
-    vertex: int
-    edges: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class EdgeRemoved:
-    edge: tuple[int, int]
-    cost: int
+# A round of dual-ascent elimination that changes fewer than this share of
+# the live vertices and edges (and at least one) ends the pipeline.
+THRESHOLD_RATIO = 0.01
 
 
 @dataclass
 class ReductionLog:
+    """What ``unreduce`` needs: the original instance, the forced paths and
+    the provenance of every reduced edge, as original edge ids."""
+
     original: Instance
-    records: list = field(default_factory=list)
     forced: list[tuple[int, ...]] = field(default_factory=list)
-    offset: int = 0
     edge_expansion: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
@@ -81,17 +60,13 @@ class SolveContext:
     it merged into.  ``incumbent`` holds the original edge ids of the
     cheapest tree found so far and ``upper_bound`` its cost; ``lower_bound``
     is the best proven bound on the optimum, in original costs.  Equal
-    bounds prove the incumbent optimal.  ``run`` is the last root run while
-    the working graph is still the one it ran on (``run_stamp`` counts the
-    reduction records made before it), else None.
+    bounds prove the incumbent optimal.
     """
 
     root: Optional[int] = None
     lower_bound: int = 0
     upper_bound: Optional[int] = None
     incumbent: frozenset[int] = frozenset()
-    run: Optional[_bounds.DualAscentResult] = None
-    run_stamp: int = 0
 
     @property
     def proven(self) -> bool:
@@ -118,18 +93,6 @@ class SolveContext:
         )
 
 
-@dataclass
-class PipelineConfig:
-    threshold_ratio: float = 0.01
-    deadline: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0 <= self.threshold_ratio <= 1:  # NaN fails the comparisons too
-            raise InputError(
-                f"threshold ratio {self.threshold_ratio!r} is not in [0, 1]"
-            )
-
-
 class _Working:
     """Mutable reduction state over the original vertex ids."""
 
@@ -148,9 +111,10 @@ class _Working:
             self.adj[u][v] = entry
             self.adj[v][u] = entry
         self.offset = 0
-        self.records: list = []
         self.forced: list[tuple[int, ...]] = []
         self.merged_into: dict[int, int] = {}
+        # The last elimination round's root run, None before the first round.
+        self.run: Optional[_bounds.DualAscentResult] = None
 
     # -- primitive mutations -------------------------------------------------
 
@@ -169,20 +133,15 @@ class _Working:
         return out
 
     def remove_edge(self, u: int, v: int):
-        c, _ = self.adj[u].pop(v)
+        self.adj[u].pop(v)
         self.adj[v].pop(u)
-        self.records.append(EdgeRemoved((min(u, v), max(u, v)), c))
 
     def remove_vertex(self, v: int):
-        incident = tuple(
-            (min(v, n), max(v, n)) for n in sorted(self.adj[v])
-        )
         for n in list(self.adj[v]):
             self.adj[n].pop(v)
         del self.adj[v]
         self.alive.discard(v)
         self.terminals.discard(v)
-        self.records.append(VertexRemoved(v, incident))
 
     def add_or_min_edge(self, u: int, v: int, cost: int, prov: tuple[int, ...]) -> bool:
         """Insert {u, v}; on collision keep the cheaper edge (ties keep the
@@ -193,7 +152,6 @@ class _Working:
         entry = (cost, prov)
         self.adj[u][v] = entry
         self.adj[v][u] = entry
-        self.records.append(EdgeIntroduced((min(u, v), max(u, v)), cost, prov))
         return True
 
     def contract_edge_pair(self, a: int, b: int) -> int:
@@ -213,9 +171,6 @@ class _Working:
         self.adj[absorbed].pop(survivor)
         self.offset += cost
         self.forced.append(prov)
-        self.records.append(
-            EdgeContracted((min(a, b), max(a, b)), cost, absorbed, prov)
-        )
         for nbr, entry in list(self.adj[absorbed].items()):
             self.adj[nbr].pop(absorbed)
             cur = self.adj[survivor].get(nbr)
@@ -383,11 +338,12 @@ class _Working:
 
     def _adopt(self, run: _bounds.DualAscentResult, order: list[int]):
         """Make ``run``, on the current snapshot with ids ``order``, the
-        context's root run, and raise the lower bound to its bound."""
+        round's root run and its root the context's, and raise the lower
+        bound to its bound."""
         ctx = self.context
         ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
         ctx.root = order[run.root]
-        ctx.run, ctx.run_stamp = run, len(self.records)
+        self.run = run
 
     def dual_ascent_elimination(
         self, upper_bound: Optional[int] = None, deadline: Optional[float] = None
@@ -417,7 +373,7 @@ class _Working:
         ctx = self.context
         pick_root = upper_bound is None and ctx.root is None
         starts = None
-        if upper_bound is None and ctx.run is None:
+        if upper_bound is None and self.run is None:
             starts = _bounds.spread_rsph(inst, deadline)
             self.offer(min(starts, key=lambda t: t.cost), inst, order)
         elif upper_bound is None:
@@ -497,18 +453,12 @@ class _Working:
             eid: prov_by_pair[(u, v)] for (u, v), eid in net.edge_index.items()
         }
         log = ReductionLog(
-            original=self.instance,
-            records=self.records,
-            forced=list(self.forced),
-            offset=self.offset,
-            edge_expansion=expansion,
+            original=self.instance, forced=list(self.forced), edge_expansion=expansion
         )
         image = {
             v: pos.get(self.survivor(v))
             for v in range(self.instance.network.vertex_count)
         }
-        if self.context.run_stamp != len(self.records):
-            self.context.run = None  # the graph changed after the run
         return PreprocessResult(
             original=self.instance,
             reduced=reduced,
@@ -558,7 +508,8 @@ def identity_preprocess(instance: Instance) -> PreprocessResult:
         },
     )
     image = {v: v for v in range(instance.network.vertex_count)}
-    return PreprocessResult(instance, instance, log, 0, {}, image, 0)
+    stats = {name: {"changed": 0} for name in REDUCTION_OPS}
+    return PreprocessResult(instance, instance, log, 0, stats, image, 0)
 
 
 # Every operation's ``changed`` key.  The schedule runs only ``simple`` and
@@ -577,33 +528,33 @@ REDUCTION_OPS = (
 
 def run_pipeline(
     instance: Instance,
-    config: Optional[PipelineConfig] = None,
     context: Optional[SolveContext] = None,
+    deadline: Optional[float] = None,
 ) -> PreprocessResult:
     """Run simple reductions to a fixpoint, then rounds of dual-ascent
     elimination, each productive round followed by the simple fixpoint,
-    until a round changes fewer than ``threshold_ratio`` of the live
+    until a round changes fewer than ``THRESHOLD_RATIO`` of the live
     vertices and edges (at least one).
 
     ``context`` carries the root, incumbent and lower bound of the solve
     across dual-ascent elimination rounds; the pipeline stops as soon as
-    its bounds meet.  Every operation of ``REDUCTION_OPS`` has a
-    ``changed`` entry in the stats, 0 when it did not run.
+    its bounds meet.  ``deadline`` is a ``time.monotonic()`` value or None.
+    Every operation of ``REDUCTION_OPS`` has a ``changed`` entry in the
+    stats, 0 when it did not run.
     """
-    cfg = config or PipelineConfig()
     w = _Working(instance, context)
     stats = {name: {"changed": 0} for name in REDUCTION_OPS}
     total = stats["simple"]["changed"] = w.simple_fixpoint()
     while len(w.terminals) > 1 and not w.context.proven:
-        check_deadline(cfg.deadline)
+        check_deadline(deadline)
         units_before = len(w.alive) + w.edge_count()
-        n = w.dual_ascent_elimination(deadline=cfg.deadline)
+        n = w.dual_ascent_elimination(deadline=deadline)
         stats["dual_ascent_bounds"]["changed"] += n
         if n:
             ns = w.simple_fixpoint()
             stats["simple"]["changed"] += ns
             total += n + ns
-        if n < max(1, int(cfg.threshold_ratio * units_before)):
+        if n < max(1, int(THRESHOLD_RATIO * units_before)):
             break
     return w.finalize(stats, total)
 

@@ -43,7 +43,6 @@ from .bounds import (
     zero_heuristic,
 )
 from .reductions import (
-    PipelineConfig,
     PreprocessResult,
     SolveContext,
     identity_preprocess,
@@ -436,7 +435,6 @@ class SolveConfig:
     heuristic: str = "auto"
     root: Optional[int] = None  # vertex id on the original instance
     time_limit: Optional[float] = None
-    threshold_ratio: float = 0.01
 
 
 @dataclass
@@ -470,7 +468,6 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
     deadline = (
         time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     )
-    pipeline = PipelineConfig(threshold_ratio=cfg.threshold_ratio, deadline=deadline)
     started = time.perf_counter()
     ctx = SolveContext(root=cfg.root)
     pre: Optional[PreprocessResult] = None
@@ -490,7 +487,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             ctx.offer(instance, rsph(instance).edges)
             check_deadline(deadline)
         if cfg.preprocess:
-            pre = run_pipeline(instance, pipeline, ctx)
+            pre = run_pipeline(instance, ctx, deadline)
         else:
             pre = identity_preprocess(instance)
         stats["preprocessing"] = {
@@ -518,8 +515,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             stats["root"] = pre.vertex_image[ctx.root]
             return result("optimal", tree)
 
-        picked = ctx.root is None
-        if picked:
+        if ctx.root is None:
             root = select_root(reduced, deadline)
         else:
             root = pre.vertex_image[ctx.root]
@@ -529,7 +525,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         heuristic.deadline = deadline
         stats["heuristic"] = heuristic.name
         stats["root"] = root
-        if picked:
+        if not cfg.preprocess:
             # No reduction round proved a bound.  The heuristic is admissible,
             # so its value at the root for every terminal bounds the optimum.
             full = heuristic.eval_mask(root, heuristic.index.full_mask)

@@ -86,8 +86,8 @@ class TestProofPath:
         )
         real = stpsolve.solver.run_pipeline
 
-        def lying(instance, config, context):
-            pre = real(instance, config, context)
+        def lying(instance, context, deadline):
+            pre = real(instance, context, deadline)
             context.lower_bound = context.upper_bound = context.upper_bound - 1
             return pre
 
@@ -178,7 +178,7 @@ class TestFirstRound:
             first = dual_ascent(snapshot, min(snapshot.terminals))
             # Whatever ends the round, its root run is the full loop's.
             assert ctx.root == order[best.root]
-            assert ctx.run == best
+            assert w.run == best
             assert ctx.lower_bound == best.lower_bound + w.offset
             if first.lower_bound + w.offset == ctx.upper_bound:
                 at_first += 1
@@ -223,17 +223,21 @@ class TestTimeouts:
         self, monkeypatch, heuristic
     ):
         # Without preprocessing no reduction round proves a bound, so the
-        # solve takes the heuristic's value at the root for all terminals.
+        # solve takes the heuristic's value at the root for all terminals,
+        # whether it picks the root or is given one.
         def search(*args, **kwargs):
             raise SolveTimeout()
 
         monkeypatch.setattr(stpsolve.solver, "ds_star", search)
         inst = unit_grid_8x8()
-        config = SolveConfig(preprocess=False, heuristic=heuristic, time_limit=60.0)
-        result = solve(inst, config)
-        assert result.status == "timeout"
-        assert 0 < result.stats["lower_bound"] <= optimum(inst)
-        assert result.stats["upper_bound"] == result.cost >= optimum(inst)
+        for root in (None, min(inst.terminals), max(inst.terminals)):
+            config = SolveConfig(
+                preprocess=False, heuristic=heuristic, root=root, time_limit=60.0
+            )
+            result = solve(inst, config)
+            assert result.status == "timeout"
+            assert 0 < result.stats["lower_bound"] <= optimum(inst)
+            assert result.stats["upper_bound"] == result.cost >= optimum(inst)
 
     def test_search_counters_survive_a_timeout(self):
         inst = unit_grid(15, 15, 10, 1, 9)

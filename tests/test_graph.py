@@ -15,7 +15,6 @@ from stpsolve import (
     dreyfus_wagner,
     shortest_path_distances,
     validate_tree,
-    voronoi_partition,
 )
 from stpsolve.graph import (
     arc_layout,
@@ -389,31 +388,6 @@ class TestMinimumSpanningTree:
                     if best is None or total < best:
                         best = total
             assert cost == best
-
-
-class TestVoronoi:
-    def test_star_center(self, fix_star):
-        vor = voronoi_partition(fix_star.network, {1, 2, 3})
-        assert vor.base[0] == 1 and vor.dist[0] == 2
-
-    def test_diamond_tie_breaks_to_smaller_terminal(self, fix_diamond):
-        vor = voronoi_partition(fix_diamond.network, {0, 1})
-        assert vor.base[2] == 0 and vor.dist[2] == 1
-
-    def test_k4_two_terminals(self, fix_k4):
-        vor = voronoi_partition(fix_k4.network, {0, 3})
-        assert vor.base[1] == 0 and vor.base[2] == 0
-
-    def test_invariant_against_per_terminal_runs(self):
-        rng = random.Random(17)
-        for _ in range(15):
-            inst = random_instance(rng, max_n=12)
-            terms = sorted(inst.terminals)
-            vor = voronoi_partition(inst.network, terms)
-            rows = {z: shortest_path_distances(inst.network, z) for z in terms}
-            for u in range(inst.network.vertex_count):
-                best = min((rows[z][u], z) for z in terms)
-                assert (vor.dist[u], vor.base[u]) == best
 
 
 class TestValidateTree:

@@ -21,8 +21,8 @@ from stpsolve import (
     validate_tree,
 )
 from stpsolve.bounds import best_root_run
-from stpsolve.reductions import PipelineConfig, _Working
-from conftest import random_instance, unit_grid_8x8
+from stpsolve.reductions import _Working
+from conftest import random_instance
 
 
 def reduced_optimum(pre):
@@ -95,9 +95,9 @@ class TestDualAscentElimination:
             assert reduced_optimum(pre) + pre.offset == opt
 
 
-    def test_root_run_kept_only_for_the_unchanged_graph(self):
-        # The context keeps a round's root run only while the working graph
-        # is the one it ran on; the root is chosen once, in the first round.
+    def test_first_round_picks_the_root_and_later_rounds_keep_it(self):
+        # The first round picks the best root and keeps its run; a later
+        # round runs from the same root.
         rng = random.Random(113)
         for _ in range(10):
             inst = random_instance(rng)
@@ -108,21 +108,13 @@ class TestDualAscentElimination:
             root = pre.vertex_image[ctx.root]
             assert root == best_root_run(pre.reduced).root
             want = dual_ascent(pre.reduced, root)
-            assert ctx.run.lower_bound == want.lower_bound
-            assert ctx.run.reduced_cost == want.reduced_cost
-            assert ctx.run.root_component == want.root_component
-            assert ctx.run == want
+            assert w.run.lower_bound == want.lower_bound
+            assert w.run.reduced_cost == want.reduced_cost
+            assert w.run.root_component == want.root_component
+            assert w.run == want
             w.dual_ascent_elimination(inst.network.total_cost)  # a later round
             assert w.finalize({}, 0).vertex_image[ctx.root] == root
-            assert ctx.run == want
-            u, v = next(
-                (u, v) for u in sorted(w.alive) for v in sorted(w.alive)
-                if u != v and v not in w.adj[u]
-            )
-            w.add_or_min_edge(u, v, 1, ())
-            w.finalize({}, 1)
-            assert ctx.run is None
-            assert ctx.root is not None
+            assert w.run == want
 
 
 class TestPipeline:
@@ -133,15 +125,13 @@ class TestPipeline:
 
     def test_fixpoint_is_identity(self):
         rng = random.Random(79)
-        config = PipelineConfig(threshold_ratio=0.0)
         for _ in range(10):
             inst = random_instance(rng)
-            first = run_pipeline(inst, config)
+            first = run_pipeline(inst)
             if len(first.reduced.terminals) <= 1:
                 continue
-            second = run_pipeline(first.reduced, config)
+            second = run_pipeline(first.reduced)
             assert second.changed == 0
-            assert not second.log.records
             assert second.reduced.network.edges == first.reduced.network.edges
             assert second.reduced.terminals == first.reduced.terminals
 
@@ -152,21 +142,20 @@ class TestPipeline:
             assert pre.reduced.network.edge_count <= inst.network.edge_count
 
     def test_changes_always_logged(self, reduction_corpus):
+        # Every reduction removes a vertex or an edge, so the pipeline counts
+        # changes exactly when the graph shrank.  Run again on its own
+        # output, it mostly has nothing left to change.
+        def size(inst):
+            return inst.network.vertex_count + inst.network.edge_count
+
+        unchanged = 0
         for inst in reduction_corpus[:40]:
             pre = run_pipeline(inst)
-            if pre.changed:
-                assert pre.log.records
-
-    @pytest.mark.parametrize(
-        "ratio", [float("nan"), float("inf"), float("-inf"), -1, -0.01, 1.5, 2]
-    )
-    def test_bad_threshold_ratio_is_an_input_error(self, ratio):
-        # The 8x8 grid reaches the elimination rounds, whose threshold test
-        # is where NaN and infinity used to escape as ValueError and
-        # OverflowError.
-        inst = unit_grid_8x8()
-        with pytest.raises(InputError):
-            run_pipeline(inst, PipelineConfig(threshold_ratio=ratio))
+            again = run_pipeline(pre.reduced)
+            assert bool(pre.changed) == (size(pre.reduced) < size(inst))
+            assert bool(again.changed) == (size(again.reduced) < size(pre.reduced))
+            unchanged += not again.changed
+        assert unchanged >= 20
 
 
 class TestUnreduce:

@@ -115,10 +115,11 @@ def random_corpus(seed, count):
 
 def check_default_solve(inst):
     """Assert that the default solve is optimal with both bounds on the
-    optimum, that a solve without preprocessing costs the same, that only
-    the default schedule's operations changed anything, and that
-    dual-ascent elimination at the optimum keeps an optimal tree.  Returns
-    the solve's per-operation counters and whether it searched."""
+    optimum, that a solve without preprocessing costs the same and reports
+    every operation at 0, that only the default schedule's operations
+    changed anything, and that dual-ascent elimination at the optimum keeps
+    an optimal tree.  Returns the solve's per-operation counters and
+    whether it searched."""
     expected = dreyfus_wagner(inst, min(inst.terminals))[0]
     pre = dual_ascent_elimination(inst, expected)
     reduced = pre.reduced
@@ -132,6 +133,9 @@ def check_default_solve(inst):
     assert result.stats["lower_bound"] == result.stats["upper_bound"] == expected
     plain = solve(inst, SolveConfig(preprocess=False))
     assert validate_tree(inst, plain.tree) == plain.cost == expected
+    assert plain.stats["preprocessing"]["ops"] == {
+        op: {"changed": 0} for op in REDUCTION_OPS
+    }
     ops = result.stats["preprocessing"]["ops"]
     assert set(ops) == set(REDUCTION_OPS)
     for op in REDUCTION_OPS:
