@@ -281,15 +281,6 @@ def auto_heuristic(instance: Instance, root: int) -> SteinerHeuristic:
     return OneTreeHeuristic(instance, root)
 
 
-def _tree_vertices(network: Network, edges: Iterable[int]) -> set[int]:
-    verts = set()
-    for eid in edges:
-        u, v, _ = network.edges[eid]
-        verts.add(u)
-        verts.add(v)
-    return verts
-
-
 def _prune_leaves(network: Network, edges: set[int], keep: frozenset[int]) -> set[int]:
     """Repeatedly delete degree-1 vertices that are not in ``keep``.
 
@@ -374,9 +365,12 @@ def rsph(
     return SteinerTree.from_edges(net, tree_edges, start)
 
 
-def _kruskal(network: Network, edge_ids: Iterable[int]) -> set[int]:
-    """Minimum spanning forest of the given edges.  Ties go to the smaller
-    edge id, so under this strict (cost, id) order the result is unique."""
+def pruned_mst(network: Network, edge_ids: Iterable[int], keep) -> set[int]:
+    """Minimum spanning forest of the given edges, leaf-pruned down to the
+    ``keep`` vertices it touches; on a connected edge set that touches every
+    vertex of ``keep``, a Steiner tree for them costing at most those edges.
+    Ties go to the smaller edge id, so under this strict (cost, id) order
+    the forest is unique."""
     parent: dict[int, int] = {}
 
     def find(x):  # roots are absent from ``parent``
@@ -394,14 +388,7 @@ def _kruskal(network: Network, edge_ids: Iterable[int]) -> set[int]:
         if ru != rv:
             parent[ru] = rv
             chosen.add(eid)
-    return chosen
-
-
-def pruned_mst(network: Network, edge_ids: Iterable[int], keep) -> set[int]:
-    """Minimum spanning forest of the given edges, leaf-pruned down to the
-    ``keep`` vertices it touches; on a connected edge set that touches every
-    vertex of ``keep``, a Steiner tree for them costing at most those edges."""
-    return _prune_leaves(network, _kruskal(network, edge_ids), keep)
+    return _prune_leaves(network, chosen, keep)
 
 
 def _tree_adjacency(network: Network, edges: Iterable[int]):
@@ -438,69 +425,28 @@ def _key_paths(network: Network, edges: set[int], terminals: frozenset[int]):
 def local_search(
     instance: Instance, tree: SteinerTree, deadline: Optional[float] = None
 ) -> SteinerTree:
-    """Improve a tree by key-vertex insertion and key-path exchange.
+    """Improve a tree by key-path exchange until no exchange lowers the
+    cost; the result is a valid tree of cost at most the input cost.
+    ``deadline`` is checked before every pass.
 
-    Repeats full passes until neither move lowers the cost; the result is a
-    valid tree of cost at most the input cost.  ``deadline`` is checked
-    before every pass.
-
-    Key-vertex insertion tries the vertices v outside the tree's vertex set
-    tv in id order; v's candidate is MST(G[tv + v]), leaf-pruned, under the
-    strict (cost, edge id) order that makes every MST unique.  By the cycle
-    property an edge outside MST(G[tv]) stays out once v joins, so
-    MST(G[tv + v]) is the MST of MST(G[tv]) plus v's edges into tv.
-
-    Key-path exchange drops one path between key vertices and reconnects
-    the two parts by a shortest path: ``lower_distances`` from the part
-    holding the path's first end stops at the first vertex of the other
-    part it settles, and ``tight_path`` retraces the way back.
+    An exchange drops one path between key vertices and reconnects the two
+    parts by a shortest path: ``lower_distances`` from the part holding the
+    path's first end stops at the first vertex of the other part it
+    settles, and ``tight_path`` retraces the way back.
     """
     net = instance.network
     terms = instance.terminals
     best = set(tree.edges)
-    best_cost = tree.cost
     if not best:
         return tree
-
-    def cost_of(edges):
-        return sum(net.cost_of(e) for e in edges)
 
     improved = True
     while improved:
         check_deadline(deadline)
         improved = False
-
-        # Key-vertex insertion.  A v with one edge into tv is a leaf of
-        # MST(G[tv + v]) and pruned again; one with none cannot be connected.
-        tv = _tree_vertices(net, best)
-        span = _kruskal(
-            net,
-            (eid for x in tv for y, _, eid in net.adjacency[x] if x < y and y in tv),
-        )
-        leafed = _prune_leaves(net, span, terms)
-        for v in range(net.vertex_count):
-            if v in tv:
-                continue
-            star = [eid for y, _, eid in net.adjacency[v] if y in tv]
-            if not star:
-                continue
-            cand = leafed
-            if len(star) > 1:
-                cand = pruned_mst(net, [*span, *star], terms)
-            c = cost_of(cand)
-            if c < best_cost:
-                best, best_cost = cand, c
-                improved = True
-                break
-        if improved:
-            continue
-
-        # Key-path exchange: reroute one path between key vertices through
-        # the cheapest connection between the two split components.
         for a, b, path in _key_paths(net, best, terms):
             path_cost = sum(net.cost_of(e) for e in path)
-            removed = set(path)
-            kept = best - removed
+            kept = best - set(path)
             adj_kept = _tree_adjacency(net, kept)
             comp_a = {a}
             stack = [a]
@@ -510,14 +456,13 @@ def local_search(
                     if y not in comp_a:
                         comp_a.add(y)
                         stack.append(y)
-            comp_b = (_tree_vertices(net, kept) | {b}) - comp_a
+            comp_b = (set(adj_kept) | {b}) - comp_a
             dist = [net.total_cost + 1] * net.vertex_count
             hit = lower_distances(net, dist, comp_a, stop=comp_b)
             if hit is None or dist[hit] >= path_cost:
                 continue
             new_path = {eid for _, eid in tight_path(net, dist, hit)}
             best = kept | new_path
-            best_cost = cost_of(best)
             improved = True
             break
 
@@ -606,19 +551,11 @@ def improving_root_runs(
                 return
 
 
-def best_root_run(
-    instance: Instance,
-    stop_at: Optional[int] = None,
-    deadline: Optional[float] = None,
+def select_root(
+    instance: Instance, deadline: Optional[float] = None
 ) -> DualAscentResult:
-    """The last of ``improving_root_runs``: the run with the highest bound."""
-    for run in improving_root_runs(instance, stop_at, deadline):
+    """The last of ``improving_root_runs``: the run with the highest bound,
+    whose root is the chosen terminal; ties go to the smallest id."""
+    for run in improving_root_runs(instance, deadline=deadline):
         pass  # keeps one run at a time, not the whole sequence
     return run
-
-
-def select_root(instance: Instance, deadline: Optional[float] = None) -> int:
-    """Terminal whose dual-ascent bound is highest; ties to the smallest id."""
-    if len(instance.terminals) == 1:
-        return min(instance.terminals)
-    return best_root_run(instance, deadline=deadline).root

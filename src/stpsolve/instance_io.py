@@ -9,12 +9,15 @@ require; terminals split over several components are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import InputError, Instance, Network, SteinerTree
 
 STP_MAGIC = "33d32945"
+# ``int()`` also takes "1_0", "١٠" and "３"; a file's integers do not.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class FormatError(InputError):
@@ -58,13 +61,16 @@ def _tokenize(text: str) -> list[list[str]]:
 
 
 def _field(row: list[str], index: int, what: str) -> int:
-    """Integer ``row[index]``; a line cut short is a format error."""
+    """Integer ``row[index]``: an optional sign and ASCII digits.  A line
+    cut short is a format error."""
     if index >= len(row):
         raise FormatError(f"line {' '.join(row)!r} lacks its {what}")
     try:
-        return int(row[index])
-    except ValueError:
-        raise FormatError(f"expected an integer {what}, got {row[index]!r}") from None
+        if _INTEGER.fullmatch(row[index]):
+            return int(row[index])
+    except ValueError:  # more than 4,300 digits
+        pass
+    raise FormatError(f"expected an integer {what}, got {row[index]!r}")
 
 
 def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:

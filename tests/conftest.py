@@ -1,4 +1,5 @@
-"""Shared fixtures, random instance generation and brute-force oracles.
+"""Shared fixtures, random instance generation (including small shapes of
+the benchmark families) and brute-force oracles.
 
 The oracle here is deliberately independent of the library's algorithms:
 Steiner trees by edge-subset enumeration.
@@ -123,6 +124,91 @@ def unit_grid_8x8():
     edges += [(v, v + 8, 1) for v in range(n - 8)]
     terminals = frozenset(random.Random(0).sample(range(n), 6))
     return Instance(Network(n, edges), terminals)
+
+
+# Cost ranges of the incidence-weighted family, indexed by the number of
+# terminal endpoints of an edge.
+INCIDENCE_COSTS = ((1, 100), (100, 1000), (1000, 2000))
+
+
+def unit_grid(rng, width, height, rows, cols):
+    """Unit-cost grid with one terminal in each block of a rows x cols
+    partition."""
+    n = width * height
+    edges = []
+    for v in range(n):
+        if v % width + 1 < width:
+            edges.append((v, v + 1, 1))
+        if v + width < n:
+            edges.append((v, v + width, 1))
+    terms = frozenset(
+        rng.randrange(r * height // rows, (r + 1) * height // rows) * width
+        + rng.randrange(c * width // cols, (c + 1) * width // cols)
+        for r in range(rows)
+        for c in range(cols)
+    )
+    return Instance(Network(n, edges), terms)
+
+
+def hypercube(rng, dim, terminals, low, high, gap):
+    """Hypercube with costs in [low, high] and terminals that pairwise
+    differ in at least ``gap`` coordinates."""
+    n = 1 << dim
+    edges = [
+        (v, v ^ (1 << b), rng.randint(low, high))
+        for v in range(n)
+        for b in range(dim)
+        if not v >> b & 1
+    ]
+    while True:
+        chosen = []
+        for v in rng.sample(range(n), n):
+            if all((v ^ z).bit_count() >= gap for z in chosen):
+                chosen.append(v)
+                if len(chosen) == terminals:
+                    return Instance(Network(n, edges), frozenset(chosen))
+
+
+def incidence_graph(rng, vertices, edge_count, terminals):
+    """A random spanning tree plus random chords, with edge costs drawn from
+    the range picked by how many endpoints are terminals."""
+    terms = frozenset(rng.sample(range(vertices), terminals))
+    order = list(range(vertices))
+    rng.shuffle(order)
+    pairs = set()
+    for i in range(1, vertices):
+        u, v = order[i], order[rng.randrange(i)]
+        pairs.add((min(u, v), max(u, v)))
+    while len(pairs) < edge_count:
+        u, v = rng.sample(range(vertices), 2)
+        pairs.add((min(u, v), max(u, v)))
+    edges = []
+    for u, v in sorted(pairs):
+        low, high = INCIDENCE_COSTS[(u in terms) + (v in terms)]
+        edges.append((u, v, rng.randint(low, high)))
+    return Instance(Network(vertices, edges), terms)
+
+
+# Small shapes of the three benchmark families, at most 10 terminals; the
+# corpus adds one grid with 12.
+SHAPES = [
+    (unit_grid, (10, 10, 3, 3)),
+    (unit_grid, (8, 8, 2, 4)),
+    (hypercube, (6, 8, 1, 1, 3)),
+    (hypercube, (6, 8, 100, 110, 3)),
+    (hypercube, (5, 10, 1, 1, 1)),
+    (incidence_graph, (60, 300, 8)),
+    (incidence_graph, (50, 150, 10)),
+]
+
+
+def family_corpus(seeds):
+    corpus = [
+        build(random.Random(f"{seed}:{i}"), *args)
+        for seed in range(seeds)
+        for i, (build, args) in enumerate(SHAPES)
+    ]
+    return corpus + [unit_grid(random.Random(12), 4, 6, 3, 4)]
 
 
 MAIN_CORPUS_SEED = 20260808

@@ -236,7 +236,7 @@ def test_criterion_07_reduction_safety_gates(reduction_corpus, fix_ntdk):
         (
             "dual_ascent_bounds",
             lambda inst: dual_ascent_elimination(
-                inst, upper_bound_pipeline(inst, select_root(inst)).cost
+                inst, upper_bound_pipeline(inst, select_root(inst).root).cost
             ),
         ),
         ("pipeline", run_pipeline),
@@ -347,7 +347,7 @@ def test_criterion_10_lower_upper_sandwich(main_corpus, main_corpus_optima):
     started = time.perf_counter()
     bad = 0
     for inst, optimum in zip(main_corpus, main_corpus_optima):
-        root = select_root(inst)
+        root = select_root(inst).root
         lower = dual_ascent(inst, root).lower_bound
         upper = upper_bound_pipeline(inst, root).cost
         if not lower <= optimum <= upper:

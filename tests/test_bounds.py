@@ -23,8 +23,8 @@ from stpsolve import (
     zero_heuristic,
 )
 from stpsolve import SteinerTree
-from stpsolve.bounds import _prune_leaves, _spread, best_root_run
-from conftest import random_grid, random_instance
+from stpsolve.bounds import _prune_leaves, _spread, improving_root_runs
+from conftest import family_corpus, random_grid, random_instance
 
 
 def csmt(instance, terminals):
@@ -336,7 +336,7 @@ class TestUpperBoundPipeline:
         rng = random.Random(62)
         for _ in range(10):
             inst = random_instance(rng)
-            run = best_root_run(inst)
+            run = select_root(inst)
             reused = upper_bound_pipeline(inst, run.root, run)
             assert reused == upper_bound_pipeline(inst, run.root)
 
@@ -356,7 +356,7 @@ class TestLocalSearchSkip:
         skipped = 0
         for _ in range(100):
             inst = random_grid(rng)
-            run = best_root_run(inst)
+            run = select_root(inst)
             calls.clear()
             tree = upper_bound_pipeline(inst, run.root, run)
             if not calls:
@@ -368,9 +368,15 @@ class TestLocalSearchSkip:
         assert skipped >= 80
 
 
+def last_improving_run(inst, stop_at=None):
+    *_, run = improving_root_runs(inst, stop_at)
+    return run
+
+
 class TestBestRootRunStop:
-    """``best_root_run(stop_at=...)`` returns the full loop's run whenever
-    ``stop_at`` is at least the best bound, and stops early when it can."""
+    """The last of ``improving_root_runs(stop_at=...)`` is the full loop's
+    run whenever ``stop_at`` is at least the best bound, and the runs stop
+    early when they can."""
 
     def test_stop_at_or_above_the_best_bound_changes_nothing(self, monkeypatch):
         import stpsolve.bounds as bounds
@@ -386,15 +392,15 @@ class TestBestRootRunStop:
         saved = 0
         for inst in corpus:
             calls.clear()
-            full = best_root_run(inst)
+            full = last_improving_run(inst)
             full_runs = len(calls)
             upper = upper_bound_pipeline(inst, full.root, full).cost
             for stop_at in {full.lower_bound, full.lower_bound + 1, upper}:
                 calls.clear()
-                assert best_root_run(inst, stop_at) == full
+                assert last_improving_run(inst, stop_at) == full
                 if stop_at == full.lower_bound:
                     saved += len(calls) < full_runs
-            early = best_root_run(inst, full.lower_bound - 1)
+            early = last_improving_run(inst, full.lower_bound - 1)
             assert early.lower_bound >= full.lower_bound - 1
         assert saved >= 50
 
@@ -404,30 +410,34 @@ class TestSelectRoot:
         rng = random.Random(63)
         for _ in range(10):
             inst = random_instance(rng)
-            run = best_root_run(inst)
-            assert run.root == select_root(inst)
+            run = select_root(inst)
             assert run == dual_ascent(inst, run.root)
+            for r in _spread(sorted(inst.terminals), 50):
+                bound = dual_ascent(inst, r).lower_bound
+                assert bound < run.lower_bound or (
+                    bound == run.lower_bound and r >= run.root
+                )
 
     def test_single_terminal(self):
         from stpsolve import Network
 
         inst = Instance(Network(2, [(0, 1, 3)]), frozenset({1}))
-        assert select_root(inst) == 1
+        assert select_root(inst).root == 1
 
     def test_path_tie_breaks_to_smaller_id(self, fix_path):
-        assert select_root(fix_path) == 0
+        assert select_root(fix_path).root == 0
 
     def test_symmetric_star(self):
         from stpsolve import Network
 
         net = Network(4, [(0, 1, 5), (0, 2, 5), (0, 3, 5)])
         inst = Instance(net, frozenset({1, 2, 3}))
-        assert select_root(inst) == 1
+        assert select_root(inst).root == 1
 
 
 # Reference upper-bound layer: the restarting RSPH, the sorting leaf pruner
-# and the per-vertex induced-MST key-vertex insertion, kept as they were
-# before the incremental versions replaced them.
+# and key-path exchange by a full Dijkstra, kept as they were before the
+# incremental versions replaced them.
 
 
 def reference_prune_leaves(network, edges, keep):
@@ -495,43 +505,12 @@ def reference_rsph(instance, within, start):
     return SteinerTree.from_edges(net, tree_edges, start)
 
 
-def reference_induced_mst_pruned(network, vertices, keep):
-    cand = [
-        eid
-        for eid, (u, v, _) in enumerate(network.edges)
-        if u in vertices and v in vertices
-    ]
-    cand.sort(key=lambda e: (network.edges[e][2], e))
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = set()
-    for eid in cand:
-        u, v, _ = network.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.add(eid)
-    if len(chosen) != len(vertices) - 1:
-        return None
-    return reference_prune_leaves(network, chosen, keep)
-
-
 def reference_local_search(instance, tree):
     net = instance.network
     terms = instance.terminals
     best = set(tree.edges)
-    best_cost = tree.cost
     if not best:
         return tree
-
-    def cost_of(edges):
-        return sum(net.cost_of(e) for e in edges)
 
     def adjacency_of(edges):
         adj = {}
@@ -566,17 +545,6 @@ def reference_local_search(instance, tree):
     improved = True
     while improved:
         improved = False
-        tv = vertices_of(best)
-        for v in range(net.vertex_count):
-            if v in tv:
-                continue
-            cand = reference_induced_mst_pruned(net, tv | {v}, terms)
-            if cand is not None and cost_of(cand) < best_cost:
-                best, best_cost = cand, cost_of(cand)
-                improved = True
-                break
-        if improved:
-            continue
         for a, b, path in key_paths(best):
             path_cost = sum(net.cost_of(e) for e in path)
             kept = best - set(path)
@@ -617,7 +585,6 @@ def reference_local_search(instance, tree):
                 new_path.add(eid)
                 x = u
             best = kept | new_path
-            best_cost = cost_of(best)
             improved = True
             break
     return SteinerTree.from_edges(net, best, tree.root)
@@ -635,11 +602,11 @@ def reference_pipeline(instance, run):
 
 
 class TestIncrementalUpperBounds:
-    """The incremental RSPH, the worklist leaf pruner and the MST-plus-star
-    key-vertex insertion return exactly the reference trees."""
+    """The incremental RSPH, the worklist leaf pruner and key-path exchange
+    by a stopped ``lower_distances`` return exactly the reference trees."""
 
     def assert_same_trees(self, inst):
-        run = best_root_run(inst)
+        run = select_root(inst)
         starts = [(None, s) for s in sorted(inst.terminals)]
         starts.append((run.root_component, run.root))
         for within, start in starts:
@@ -663,6 +630,10 @@ class TestIncrementalUpperBounds:
         rng = random.Random(137)
         for _ in range(60):
             self.assert_same_trees(random_grid(rng))
+
+    def test_bench_family_shapes(self):
+        for inst in family_corpus(2):
+            self.assert_same_trees(inst)
 
     def test_prune_leaves_on_random_trees(self):
         rng = random.Random(139)

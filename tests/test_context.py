@@ -21,7 +21,7 @@ from stpsolve import (
     solve,
     validate_tree,
 )
-from stpsolve.bounds import best_root_run
+from stpsolve.bounds import select_root
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
 from conftest import random_grid, random_instance, unit_grid_8x8
@@ -171,7 +171,7 @@ class TestFirstRound:
             snapshot, order = w.snapshot()
             monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
             runs = 0
-            best = best_root_run(snapshot)
+            best = select_root(snapshot)
             every_root, runs = runs, 0
             w.dual_ascent_elimination()
             monkeypatch.undo()
@@ -218,13 +218,13 @@ class TestTimeouts:
         assert validate_tree(inst, result.tree) == result.cost
         assert elapsed <= limit + max(0.25, 0.1 * limit)
 
-    @pytest.mark.parametrize("heuristic", ["auto", "da", "onetree"])
+    @pytest.mark.parametrize("heuristic", ["auto", "da", "onetree", "zero"])
     def test_a_search_timeout_without_preprocessing_reports_a_bound(
         self, monkeypatch, heuristic
     ):
         # Without preprocessing no reduction round proves a bound, so the
-        # solve takes the heuristic's value at the root for all terminals,
-        # whether it picks the root or is given one.
+        # solve takes the dual-ascent bound of its root, whichever heuristic
+        # guides the search and whether it picks the root or is given one.
         def search(*args, **kwargs):
             raise SolveTimeout()
 
@@ -237,6 +237,8 @@ class TestTimeouts:
             result = solve(inst, config)
             assert result.status == "timeout"
             assert 0 < result.stats["lower_bound"] <= optimum(inst)
+            bound = dual_ascent(inst, result.stats["root"]).lower_bound
+            assert result.stats["lower_bound"] == bound
             assert result.stats["upper_bound"] == result.cost >= optimum(inst)
 
     def test_search_counters_survive_a_timeout(self):

@@ -167,6 +167,39 @@ class TestTruncatedLines:
         assert from_bytes.terminals == from_text.terminals
 
 
+class TestIntegerFields:
+    """Integer fields are an optional sign and ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "line, mangled",
+        [
+            ("Nodes 3", "Nodes 0_3"),
+            ("Nodes 3", "Nodes ３"),
+            ("E 1 2 2", "E 0_1 2 2"),
+            ("E 1 2 2", "E １ 2 2"),
+            ("E 1 2 2", "E 1 2 1_0"),
+            ("E 1 2 2", "E 1 2 ١٠"),
+            ("T 3", "T 0_3"),
+            ("T 3", "T ３"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, line, mangled):
+        # int() reads each of these as a valid number.
+        assert line in PATH_STP
+        with pytest.raises(FormatError, match="expected an integer"):
+            parse_instance(PATH_STP.replace(line, mangled))
+
+    def test_an_integer_too_long_to_convert(self):
+        with pytest.raises(FormatError, match="expected an integer"):
+            parse_instance(PATH_STP.replace("E 1 2 2", "E 1 2 " + "1" * 5000))
+
+    def test_a_signed_integer_is_an_integer(self):
+        text = PATH_STP.replace("Nodes 3", "Nodes +3").replace("T 3", "T +3")
+        signed = parse_instance(text).instance
+        assert signed.network.edges == ((0, 1, 2), (1, 2, 3))
+        assert signed.terminals == frozenset({0, 2})
+
+
 class TestDetectFormat:
     def test_detects_both(self):
         assert detect_format(PATH_STP) == "stp"

@@ -20,7 +20,6 @@ from stpsolve import (
     upper_bound_pipeline,
     validate_tree,
 )
-from stpsolve.bounds import best_root_run
 from stpsolve.reductions import _Working
 from conftest import random_instance
 
@@ -90,7 +89,7 @@ class TestDualAscentElimination:
         for _ in range(20):
             inst = random_instance(rng)
             opt = dreyfus_wagner(inst, min(inst.terminals))[0]
-            upper = upper_bound_pipeline(inst, select_root(inst)).cost
+            upper = upper_bound_pipeline(inst, select_root(inst).root).cost
             pre = dual_ascent_elimination(inst, upper)
             assert reduced_optimum(pre) + pre.offset == opt
 
@@ -106,7 +105,7 @@ class TestDualAscentElimination:
             w.dual_ascent_elimination(inst.network.total_cost)
             pre = w.finalize({}, 0)
             root = pre.vertex_image[ctx.root]
-            assert root == best_root_run(pre.reduced).root
+            assert root == select_root(pre.reduced).root
             want = dual_ascent(pre.reduced, root)
             assert w.run.lower_bound == want.lower_bound
             assert w.run.reduced_cost == want.reduced_cost
