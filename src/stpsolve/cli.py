@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from .graph import InputError, StpError, validate_tree
 from .instance_io import parse_instance, write_instance, write_solution
@@ -44,19 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="solve every .stp/.gr file in DIR and emit a CSV summary",
     )
-    p.add_argument(
-        "--budget",
-        type=seconds,
-        default=None,
-        help="per-instance time budget in seconds for --bench",
-    )
     p.add_argument("--format", choices=("auto", "stp", "gr"), default="auto")
     p.add_argument(
         "--heuristic", choices=("auto", "da", "onetree", "zero"), default="auto"
     )
     p.add_argument("--no-preprocess", action="store_true", help="skip reductions")
     p.add_argument("--no-pruning", action="store_true", help="disable search pruning")
-    p.add_argument("--time-limit", type=seconds, default=None, help="seconds")
+    p.add_argument(
+        "--time-limit",
+        type=seconds,
+        default=None,
+        help="seconds per instance, also per file with --bench",
+    )
     p.add_argument(
         "--root", type=int, default=None, help="root terminal (original label)"
     )
@@ -73,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _make_config(args, time_limit: Optional[float]) -> SolveConfig:
+def _make_config(args) -> SolveConfig:
     return SolveConfig(
         preprocess=not args.no_preprocess,
         pruning=not args.no_pruning,
         heuristic=args.heuristic,
-        time_limit=time_limit,
+        time_limit=args.time_limit,
     )
 
 
@@ -104,7 +102,7 @@ def _run_single(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    config = _make_config(args, args.time_limit)
+    config = _make_config(args)
     if args.root is not None:
         vid = parsed.label_to_id.get(args.root)
         if vid is None or vid not in parsed.instance.terminals:
@@ -175,11 +173,11 @@ def _run_bench(args) -> int:
         started = time.perf_counter()
         try:
             parsed = parse_instance(path.read_bytes(), args.format)
-            result = solve(parsed.instance, _make_config(args, args.budget))
+            result = solve(parsed.instance, _make_config(args))
             elapsed = time.perf_counter() - started
             cost = "" if result.cost is None else result.cost
             expansions = result.search.expansions if result.search else ""
-            heuristic = result.stats.get("heuristic") or ""
+            heuristic = result.stats["heuristic"] or ""
             print(
                 f"{path.name},{result.status},{cost},{elapsed:.3f},"
                 f"{expansions},{heuristic}"

@@ -138,7 +138,6 @@ class Instance:
 
     network: Network
     terminals: frozenset[int]
-    root: Optional[int] = None
 
     def __post_init__(self):
         net = self.network
@@ -148,8 +147,6 @@ class Instance:
         for z in self.terminals:
             if not 0 <= z < net.vertex_count:
                 raise InputError(f"terminal {z} is not a vertex")
-        if self.root is not None and self.root not in self.terminals:
-            raise InputError("root must be a terminal")
         if not net.is_connected():
             raise InputError("instance network must be connected")
 

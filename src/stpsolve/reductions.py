@@ -124,14 +124,6 @@ class _Working:
     def edge_count(self) -> int:
         return sum(len(d) for d in self.adj.values()) // 2
 
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        out = []
-        for u in sorted(self.alive):
-            for v, (c, _) in self.adj[u].items():
-                if u < v:
-                    out.append((u, v, c))
-        return out
-
     def remove_edge(self, u: int, v: int):
         self.adj[u].pop(v)
         self.adj[v].pop(u)
@@ -213,22 +205,28 @@ class _Working:
             self.remove_vertex(v)
         return len(strays)
 
-    def snapshot(self) -> tuple[Instance, list[int]]:
-        """Materialize the current graph as an immutable Instance.
+    def snapshot(self) -> tuple[Instance, list[int], list[tuple[int, ...]]]:
+        """Restrict the graph to the terminals' component and materialize it
+        as an immutable Instance.
 
-        Returns the instance and the ordered list mapping its dense ids back
-        to working ids.  Call after ``restrict_to_terminal_component``.
+        Returns the instance, the ordered list mapping its dense ids back to
+        working ids, and ``prov``: ``prov[eid]`` is the provenance of its
+        edge ``eid``.
         """
+        self.restrict_to_terminal_component()
         order = sorted(self.alive)
         pos = {v: i for i, v in enumerate(order)}
-        edges = []
-        for u in order:
-            for v, (c, _) in self.adj[u].items():
+        edges, prov = [], []
+        for u in order:  # in the sorted (u, v) order of ``Network.edges``
+            nbrs = self.adj[u]
+            for v in sorted(nbrs):
                 if u < v:
+                    c, p = nbrs[v]
                     edges.append((pos[u], pos[v], c))
+                    prov.append(p)
         net = Network(len(order), edges)
         inst = Instance(net, frozenset(pos[t] for t in self.terminals))
-        return inst, order
+        return inst, order, prov
 
     # -- simple operations ---------------------------------------------------
 
@@ -305,36 +303,17 @@ class _Working:
 
     # -- dual-ascent elimination ---------------------------------------------
 
-    def offer(self, tree: SteinerTree, snapshot: Instance, order: list[int]):
-        """Offer a tree of ``snapshot`` to the context, expanded through the
-        provenance of its edges plus the forced paths."""
+    def offer(self, tree: SteinerTree, prov: list[tuple[int, ...]]):
+        """Offer a tree of the snapshot whose edge provenance is ``prov`` to
+        the context, expanded through that provenance plus the forced
+        paths."""
         ctx = self.context
         if ctx.upper_bound is not None and tree.cost + self.offset >= ctx.upper_bound:
             return
         edges = [eid for path in self.forced for eid in path]
         for eid in tree.edges:
-            u, v, _ = snapshot.network.edges[eid]
-            edges.extend(self.adj[order[u]][order[v]][1])
+            edges.extend(prov[eid])
         ctx.offer(self.instance, edges)
-
-    def incumbent_on(
-        self, snapshot: Instance, order: list[int]
-    ) -> Optional[SteinerTree]:
-        """The context's incumbent as a tree of ``snapshot``: the snapshot
-        edges whose provenance lies inside it, when they still connect the
-        terminals (reductions may have cut a non-optimal incumbent)."""
-        inside = self.context.incumbent
-        net = snapshot.network
-        edges = [
-            eid
-            for eid, (u, v, _) in enumerate(net.edges)
-            if inside.issuperset(self.adj[order[u]][order[v]][1])
-        ]
-        tree = _bounds.pruned_mst(net, edges, snapshot.terminals)
-        spanned = {x for eid in tree for x in net.edges[eid][:2]}
-        if len(spanned) != len(tree) + 1 or not snapshot.terminals <= spanned:
-            return None
-        return SteinerTree.from_edges(net, tree, min(snapshot.terminals))
 
     def _adopt(self, run: _bounds.DualAscentResult, order: list[int]):
         """Make ``run``, on the current snapshot with ids ``order``, the
@@ -354,7 +333,9 @@ class _Working:
         Without ``upper_bound`` the bound is the context's incumbent,
         improved by the upper-bound pipeline on the snapshot.  The first
         round of a solve offers the best spread RSPH start and hands the
-        starts to the pipeline; later rounds hand it the incumbent.  A round
+        starts to the pipeline; later rounds hand it none, so its local
+        search starts from the RSPH tree in the root run's component, and
+        the context keeps the cheaper of that tree and the incumbent.  A round
         whose context has a root runs one dual ascent from it.  Otherwise
         the round picks the root: it runs dual ascent from the first root
         (the smallest terminal) and the pipeline with that run, and only
@@ -367,20 +348,15 @@ class _Working:
         """
         if len(self.terminals) <= 1:
             return 0
-        self.restrict_to_terminal_component()
-        inst, order = self.snapshot()
-        pos = {v: i for i, v in enumerate(order)}
+        inst, order, prov = self.snapshot()
         ctx = self.context
         pick_root = upper_bound is None and ctx.root is None
-        starts = None
+        starts = []
         if upper_bound is None and self.run is None:
             starts = _bounds.spread_rsph(inst, deadline)
-            self.offer(min(starts, key=lambda t: t.cost), inst, order)
-        elif upper_bound is None:
-            carried = self.incumbent_on(inst, order)
-            starts = [] if carried is None else [carried]
+            self.offer(min(starts, key=lambda t: t.cost), prov)
         if ctx.root is not None:
-            runs = [_bounds.dual_ascent(inst, pos[self.survivor(ctx.root)])]
+            runs = [_bounds.dual_ascent(inst, order.index(self.survivor(ctx.root)))]
         elif upper_bound is not None:
             runs = _bounds.improving_root_runs(inst, upper_bound, deadline)
         else:
@@ -390,7 +366,7 @@ class _Working:
             self._adopt(run, order)
         if upper_bound is None:
             tree = _bounds.upper_bound_pipeline(inst, run.root, run, starts, deadline)
-            self.offer(tree, inst, order)
+            self.offer(tree, prov)
             if pick_root and not ctx.proven:
                 stop_at = ctx.upper_bound - self.offset
                 for run in _bounds.improving_root_runs(inst, stop_at, deadline, run):
@@ -412,21 +388,18 @@ class _Working:
         to_terminal = [net.total_cost + 1] * net.vertex_count
         reversed_costs = [reduced[a ^ 1] for a in range(len(reduced))]
         lower_distances(net, to_terminal, nonroot, reversed_costs)
-        doomed_vertices = []
-        for v in sorted(self.alive):
-            if v in self.terminals:
-                continue
-            i = pos[v]
-            if lower + from_root[i] + to_terminal[i] > upper_bound:
-                doomed_vertices.append(v)
+        doomed_vertices = [
+            v
+            for i, v in enumerate(order)
+            if v not in self.terminals
+            and lower + from_root[i] + to_terminal[i] > upper_bound
+        ]
         doomed_edges = []
-        for u, v, c in self.edge_list():
-            i, j = pos[u], pos[v]
-            arc = 2 * net.edge_between(i, j)  # i < j, so this is arc i->j
-            via_u = from_root[i] + reduced[arc] + to_terminal[j]
-            via_v = from_root[j] + reduced[arc + 1] + to_terminal[i]
-            if lower + min(via_u, via_v) > upper_bound:
-                doomed_edges.append((u, v))
+        for eid, (i, j, _) in enumerate(net.edges):  # arc i->j is 2 * eid
+            via_i = from_root[i] + reduced[2 * eid] + to_terminal[j]
+            via_j = from_root[j] + reduced[2 * eid + 1] + to_terminal[i]
+            if lower + min(via_i, via_j) > upper_bound:
+                doomed_edges.append((order[i], order[j]))
         for v in doomed_vertices:
             self.remove_vertex(v)
         for u, v in doomed_edges:
@@ -437,24 +410,13 @@ class _Working:
     # -- finalization ----------------------------------------------------------
 
     def finalize(self, stats: dict, changed: int) -> PreprocessResult:
-        self.restrict_to_terminal_component()
-        order = sorted(self.alive)
-        pos = {v: i for i, v in enumerate(order)}
-        edges = []
-        prov_by_pair = {}
-        for u in order:
-            for v, (c, prov) in self.adj[u].items():
-                if u < v:
-                    edges.append((pos[u], pos[v], c))
-                    prov_by_pair[(pos[u], pos[v])] = prov
-        net = Network(len(order), edges)
-        reduced = Instance(net, frozenset(pos[t] for t in self.terminals))
-        expansion = {
-            eid: prov_by_pair[(u, v)] for (u, v), eid in net.edge_index.items()
-        }
+        reduced, order, prov = self.snapshot()
         log = ReductionLog(
-            original=self.instance, forced=list(self.forced), edge_expansion=expansion
+            original=self.instance,
+            forced=list(self.forced),
+            edge_expansion=dict(enumerate(prov)),
         )
+        pos = {v: i for i, v in enumerate(order)}
         image = {
             v: pos.get(self.survivor(v))
             for v in range(self.instance.network.vertex_count)

@@ -12,7 +12,6 @@ solution expansion together.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,13 +93,13 @@ def combine_split_cost(costs, mask: int) -> Optional[int]:
 def dreyfus_wagner(instance: Instance, root: Optional[int] = None):
     """Exact dynamic program over terminal subsets.
 
-    Returns (cost, tree).  Memory grows with 2^|terminals|, so the terminal
-    count is capped.
+    Returns (cost, tree); ``root`` defaults to the smallest terminal.
+    Memory grows with 2^|terminals|, so the terminal count is capped.
     """
     net = instance.network
     terms = instance.terminals
     if root is None:
-        root = instance.root if instance.root is not None else min(terms)
+        root = min(terms)
     if root not in terms:
         raise InputError("dreyfus_wagner root must be a terminal")
     index = TerminalIndex(terms, root)
@@ -189,9 +188,6 @@ class SearchStats:
             "stale_pops": self.stale_pops,
             "wall_time": round(self.wall_time, 6),
         }
-
-    def line(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 @dataclass
@@ -472,7 +468,8 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
     started = time.perf_counter()
     ctx = SolveContext(root=cfg.root)
     pre: Optional[PreprocessResult] = None
-    stats: dict = {"heuristic": None, "preprocessing": None}
+    # Every solve reports every key, None when the value is absent.
+    stats: dict = dict.fromkeys(("heuristic", "preprocessing", "root", "search"))
 
     def result(status, tree, search=None) -> SolveResult:
         stats["wall_time"] = time.perf_counter() - started

@@ -154,14 +154,18 @@ class TestSingleRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--time-limit", "--budget"])
+    @pytest.mark.parametrize("bench", [False, True], ids=["--time-limit", "--bench"])
     @pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "inf", "-inf", "soon"])
-    def test_seconds_must_be_finite_and_not_negative(self, k4_stp, capsys, flag, value):
+    def test_seconds_must_be_finite_and_not_negative(
+        self, k4_stp, capsys, bench, value
+    ):
+        # A single file and --bench read the same --time-limit flag.
+        target = ["--bench", str(k4_stp.parent)] if bench else [str(k4_stp)]
         with pytest.raises(SystemExit) as exc:
-            main([str(k4_stp), f"{flag}={value}"])
+            main([*target, f"--time-limit={value}"])
         assert exc.value.code == 2
         out = capsys.readouterr()
-        assert f"argument {flag}" in out.err and "Traceback" not in out.err
+        assert "argument --time-limit" in out.err and "Traceback" not in out.err
         assert out.out == ""
 
     def test_format_override(self, tmp_path, capsys):
@@ -211,7 +215,7 @@ class TestBench:
         }
 
     def test_zero_budget_times_out_everywhere(self, bench_dir, capsys):
-        assert main(["--bench", str(bench_dir), "--budget", "0"]) == 0
+        assert main(["--bench", str(bench_dir), "--time-limit", "0"]) == 0
         for line in capsys.readouterr().out.strip().splitlines()[1:]:
             assert line.split(",")[1] == "timeout"
 

@@ -1,6 +1,7 @@
-"""The solve context: the root is chosen once, the incumbent is carried
-across reduction rounds, matching bounds end the solve, and a timeout
-returns the incumbent with both bounds."""
+"""The solve context: the root is chosen once, the incumbent is kept
+across reduction rounds, matching bounds end the solve, a timeout returns
+the incumbent with both bounds, and every kind of solve reports the same
+stats keys."""
 
 import random
 import time
@@ -24,7 +25,7 @@ from stpsolve import (
 from stpsolve.bounds import select_root
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
-from conftest import random_grid, random_instance, unit_grid_8x8
+from conftest import make_diamond, random_grid, random_instance, unit_grid_8x8
 
 
 def unit_grid(width, height, terminals, max_cost, seed):
@@ -108,29 +109,6 @@ class TestProofPath:
         assert ctx.upper_bound == 4  # not cheaper: the incumbent stays
 
 
-class TestCarriedIncumbent:
-    def test_later_rounds_see_the_incumbent_on_their_snapshot(self):
-        carried = 0
-        for seed in range(40):
-            inst = unit_grid(12, 12, 10, 1, seed)
-            ctx = SolveContext()
-            w = _Working(inst, ctx)
-            w.simple_fixpoint()
-            w.dual_ascent_elimination()
-            if ctx.proven or len(w.terminals) <= 1:
-                continue
-            w.simple_fixpoint()
-            w.restrict_to_terminal_component()
-            snapshot, order = w.snapshot()
-            tree = w.incumbent_on(snapshot, order)
-            if tree is None:
-                continue
-            carried += 1
-            assert validate_tree(snapshot, tree) == tree.cost
-            assert tree.edges  # the snapshot still has terminals to join
-        assert carried >= 15
-
-
 class TestFirstRound:
     """The first elimination round runs dual ascent from the first root,
     improves the incumbent with that run, and tries the other roots only
@@ -167,8 +145,7 @@ class TestFirstRound:
             w.simple_fixpoint()
             if len(w.terminals) <= 1:
                 continue
-            w.restrict_to_terminal_component()
-            snapshot, order = w.snapshot()
+            snapshot, order, _ = w.snapshot()
             monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
             runs = 0
             best = select_root(snapshot)
@@ -192,6 +169,28 @@ class TestFirstRound:
         assert at_first >= 150
         assert hunted >= 40
         assert apart >= 25
+
+
+class TestStatsSchema:
+    def test_every_kind_of_solve_reports_the_same_keys(self):
+        grid = unit_grid(12, 12, 10, 1, 0)
+        trivial = solve(make_diamond())
+        proven = solve(unit_grid_8x8())
+        searched = solve(grid)
+        plain = solve(grid, SolveConfig(preprocess=False))
+        timed_out = solve(grid, SolveConfig(time_limit=0.0))
+        assert len(trivial.preprocess.reduced.terminals) == 1
+        assert is_proof(proven)
+        assert searched.search is not None and searched.preprocess.changed
+        assert plain.search is not None and not plain.preprocess.changed
+        assert timed_out.status == "timeout" and timed_out.preprocess is None
+        kinds = (trivial, proven, searched, plain, timed_out)
+        assert {frozenset(r.stats) for r in kinds} == {frozenset(searched.stats)}
+        # An absent value reads None.
+        assert trivial.stats["root"] is trivial.stats["search"] is None
+        assert proven.stats["search"] is None
+        assert timed_out.stats["root"] is timed_out.stats["search"] is None
+        assert searched.stats["search"] == searched.search.as_dict()
 
 
 class TestTimeouts:

@@ -51,10 +51,6 @@ class TestNetwork:
         with pytest.raises(InputError):
             Instance(net, frozenset({0, 2}))
 
-    def test_root_must_be_terminal(self, fix_path):
-        with pytest.raises(InputError):
-            Instance(fix_path.network, fix_path.terminals, root=1)
-
 
 class TestShortestPaths:
     def test_path_graph(self, fix_path):

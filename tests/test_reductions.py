@@ -21,7 +21,7 @@ from stpsolve import (
     validate_tree,
 )
 from stpsolve.reductions import _Working
-from conftest import random_instance
+from conftest import family_corpus, random_grid, random_instance
 
 
 def reduced_optimum(pre):
@@ -155,6 +155,27 @@ class TestPipeline:
             assert bool(again.changed) == (size(again.reduced) < size(pre.reduced))
             unchanged += not again.changed
         assert unchanged >= 20
+
+
+class TestProvenance:
+    def test_provenance_accounts_for_every_original_edge_once(self):
+        # Each reduced edge costs the original edges it stands for, the
+        # forced paths cost the offset, and no original edge stands in two
+        # places.
+        rng = random.Random(331)
+        corpus = [random_instance(rng, 6, 24, 3, 7) for _ in range(187)]
+        corpus += [random_grid(rng, max_t=7) for _ in range(187)]
+        for inst in corpus + family_corpus(3):
+            pre = run_pipeline(inst)
+            cost = inst.network.cost_of
+            expansion = pre.log.edge_expansion
+            edges = pre.reduced.network.edges
+            assert sorted(expansion) == list(range(len(edges)))
+            for eid, (_, _, c) in enumerate(edges):
+                assert c == sum(map(cost, expansion[eid]))
+            assert pre.offset == sum(map(cost, (e for p in pre.log.forced for e in p)))
+            used = [e for p in (*expansion.values(), *pre.log.forced) for e in p]
+            assert len(used) == len(set(used))
 
 
 class TestUnreduce:

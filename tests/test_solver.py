@@ -149,7 +149,7 @@ class TestDsStar:
 
     def test_stats_line_is_json(self, fix_k4):
         _, _, stats = ds_star(fix_k4, 2, zero_heuristic(fix_k4, 2), True)
-        payload = json.loads(stats.line())
+        payload = json.loads(json.dumps(stats.as_dict()))
         assert payload["expansions"] == stats.expansions
 
 
@@ -313,7 +313,7 @@ class TestSolve:
         # first dual-ascent elimination round) mapped to reduced ids.
         rng = random.Random(127)
         searched = 0
-        for _ in range(40):
+        for _ in range(80):
             width = rng.randint(7, 9)
             n = width * width
             edges = [(v, v + 1, 1) for v in range(n) if v % width + 1 < width]
