@@ -475,7 +475,7 @@ def _spread(items: list[int], cap: int) -> list[int]:
         return list(items)
     picked = []
     for i in range(cap):
-        j = round(i * (len(items) - 1) / (cap - 1))
+        j = round(i * (len(items) - 1) / max(cap - 1, 1))
         if not picked or items[j] != picked[-1]:
             picked.append(items[j])
     return picked

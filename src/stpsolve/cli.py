@@ -192,10 +192,28 @@ def _run_bench(args) -> int:
     return EXIT_OK
 
 
+def _single_file_flags(args) -> list[str]:
+    """The single-file options given in ``args``; ``--bench`` takes none."""
+    given = {
+        "an instance path": args.input is not None,
+        "--root": args.root is not None,
+        "--dump-reduced": args.dump_reduced is not None,
+        "--print-tree": args.print_tree,
+        "--validate": args.validate,
+        "--stats": args.stats,
+    }
+    return [flag for flag, present in given.items() if present]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.bench:
+        rejected = _single_file_flags(args)
+        if rejected:
+            joined = ", ".join(rejected)
+            print(f"error: --bench does not take {joined}", file=sys.stderr)
+            return EXIT_INPUT
         return _run_bench(args)
     if args.input:
         return _run_single(args)

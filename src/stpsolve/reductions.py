@@ -26,7 +26,8 @@ from . import bounds as _bounds
 
 
 # A round of dual-ascent elimination that changes fewer than this share of
-# the live vertices and edges (and at least one) ends the pipeline.
+# the live vertices and edges (and at least one) ends the pipeline once the
+# root is picked.
 THRESHOLD_RATIO = 0.01
 
 
@@ -315,13 +316,11 @@ class _Working:
             edges.extend(prov[eid])
         ctx.offer(self.instance, edges)
 
-    def _adopt(self, run: _bounds.DualAscentResult, order: list[int]):
-        """Make ``run``, on the current snapshot with ids ``order``, the
-        round's root run and its root the context's, and raise the lower
+    def _adopt(self, run: _bounds.DualAscentResult):
+        """Make ``run`` the round's root run and raise the context's lower
         bound to its bound."""
         ctx = self.context
         ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
-        ctx.root = order[run.root]
         self.run = run
 
     def dual_ascent_elimination(
@@ -337,22 +336,26 @@ class _Working:
         search starts from the RSPH tree in the root run's component, and
         the context keeps the cheaper of that tree and the incumbent.  A round
         whose context has a root runs one dual ascent from it.  Otherwise
-        the round picks the root: it runs dual ascent from the first root
-        (the smallest terminal) and the pipeline with that run, and only
-        while the bounds are then apart runs the other roots, which stop at
-        a bound that meets the improved incumbent.  Either way it keeps the
-        run the full loop over the roots would pick: no run beats a bound
-        that meets an upper bound.  With ``upper_bound`` the root runs stop
-        at it and no pipeline runs.  When the bounds meet the incumbent is
-        optimal, and the round deletes nothing.
+        the round runs dual ascent from the first root (the smallest
+        terminal) and the pipeline with that run.  The first round
+        eliminates with that run and leaves the root unpicked, because on
+        the unreduced graph other roots cost more than they add.  The next
+        round picks the root on the graph the first round shrank: while the
+        bounds are apart it runs the other roots, which stop at a bound
+        that meets the improved incumbent, and it keeps the run the full
+        loop over the roots would pick: no run beats a bound that meets an
+        upper bound.  With ``upper_bound`` the root runs stop at it, the
+        best picks the root and no pipeline runs.  When the bounds meet the
+        incumbent is optimal, the round's run picks the root, and the round
+        deletes nothing.
         """
         if len(self.terminals) <= 1:
             return 0
         inst, order, prov = self.snapshot()
         ctx = self.context
-        pick_root = upper_bound is None and ctx.root is None
+        first_round = self.run is None
         starts = []
-        if upper_bound is None and self.run is None:
+        if upper_bound is None and first_round:
             starts = _bounds.spread_rsph(inst, deadline)
             self.offer(min(starts, key=lambda t: t.cost), prov)
         if ctx.root is not None:
@@ -363,17 +366,22 @@ class _Working:
             check_deadline(deadline)
             runs = [_bounds.dual_ascent(inst, min(inst.terminals))]
         for run in runs:  # a timeout in root selection keeps the best bound
-            self._adopt(run, order)
+            self._adopt(run)
         if upper_bound is None:
+            hunt = ctx.root is None and not first_round
             tree = _bounds.upper_bound_pipeline(inst, run.root, run, starts, deadline)
             self.offer(tree, prov)
-            if pick_root and not ctx.proven:
+            if hunt and not ctx.proven:
                 stop_at = ctx.upper_bound - self.offset
                 for run in _bounds.improving_root_runs(inst, stop_at, deadline, run):
-                    self._adopt(run, order)
+                    self._adopt(run)
+            if hunt or ctx.proven:
+                ctx.root = order[run.root]
             if ctx.proven:
                 return 0
             upper_bound = ctx.upper_bound - self.offset
+        else:
+            ctx.root = order[run.root]
         if upper_bound >= inst.network.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
         root = run.root
@@ -496,7 +504,7 @@ def run_pipeline(
     """Run simple reductions to a fixpoint, then rounds of dual-ascent
     elimination, each productive round followed by the simple fixpoint,
     until a round changes fewer than ``THRESHOLD_RATIO`` of the live
-    vertices and edges (at least one).
+    vertices and edges (at least one) once the root is picked.
 
     ``context`` carries the root, incumbent and lower bound of the solve
     across dual-ascent elimination rounds; the pipeline stops as soon as
@@ -516,7 +524,8 @@ def run_pipeline(
             ns = w.simple_fixpoint()
             stats["simple"]["changed"] += ns
             total += n + ns
-        if n < max(1, int(THRESHOLD_RATIO * units_before)):
+        small = n < max(1, int(THRESHOLD_RATIO * units_before))
+        if small and w.context.root is not None:
             break
     return w.finalize(stats, total)
 

@@ -405,6 +405,15 @@ class TestBestRootRunStop:
         assert saved >= 50
 
 
+def test_spread_keeps_both_ends_and_a_cap_of_one_keeps_the_first():
+    items = list(range(10, 20))
+    assert _spread(items, 50) == items
+    assert _spread(items, 3) == [10, 14, 19]
+    assert _spread(items, 2) == [10, 19]
+    assert _spread(items, 1) == [10]
+    assert _spread([7], 1) == [7]
+
+
 class TestSelectRoot:
     def test_best_run_is_the_selected_roots_run(self):
         rng = random.Random(63)

@@ -245,5 +245,24 @@ class TestBench:
         assert status["g_short.stp"] == status["h_bytes.stp"] == "error"
         assert status["f_k4.stp"] == "optimal"
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--root", "2"], "--root"),
+            (["--dump-reduced", "out.gr"], "--dump-reduced"),
+            (["--print-tree"], "--print-tree"),
+            (["--validate"], "--validate"),
+            (["--stats"], "--stats"),
+            (["a.stp"], "an instance path"),
+        ],
+    )
+    def test_single_file_flags_are_rejected(self, bench_dir, capsys, extra, flag):
+        # --bench solves every file alike, so a single file's option would
+        # be silently ignored.
+        assert main(["--bench", str(bench_dir), *extra]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --bench does not take {flag}\n"
+
     def test_unreadable_directory(self, tmp_path, capsys):
         assert main(["--bench", str(tmp_path / "nope")]) == 2

@@ -111,8 +111,9 @@ class TestProofPath:
 
 class TestFirstRound:
     """The first elimination round runs dual ascent from the first root,
-    improves the incumbent with that run, and tries the other roots only
-    while the bounds are apart."""
+    improves the incumbent with that run and eliminates with it; the next
+    round picks the root on the graph the first one shrank, trying the
+    other roots only while the bounds are apart."""
 
     def test_costs_and_bounds_match_the_oracle(self):
         for inst in proof_corpus(311, 300):
@@ -136,8 +137,9 @@ class TestFirstRound:
         corpus = [random_instance(rng, 6, 24, 3, 7) for _ in range(150)]
         corpus += [  # unit costs and more terminals leave more bounds apart
             random_grid(rng, 6, 10, costs=(1,), min_t=5, max_t=10)
-            for _ in range(150)
+            for _ in range(250)
         ]
+        monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
         at_first = hunted = apart = 0
         for inst in corpus:
             ctx = SolveContext()
@@ -146,26 +148,35 @@ class TestFirstRound:
             if len(w.terminals) <= 1:
                 continue
             snapshot, order, _ = w.snapshot()
-            monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
             runs = 0
+            w.dual_ascent_elimination()
+            assert runs == 1
+            first = real(snapshot, min(snapshot.terminals))
+            assert w.run == first
+            if ctx.proven:
+                at_first += 1
+                assert ctx.root == order[first.root]
+                continue
+            assert ctx.root is None  # eliminated with the first root's run
+            w.simple_fixpoint()
+            if len(w.terminals) <= 1:
+                continue
+            snapshot, order, _ = w.snapshot()
+            bound, runs = ctx.lower_bound, 0
             best = select_root(snapshot)
             every_root, runs = runs, 0
             w.dual_ascent_elimination()
-            monkeypatch.undo()
-            first = dual_ascent(snapshot, min(snapshot.terminals))
-            # Whatever ends the round, its root run is the full loop's.
+            # Whatever ends the hunt, its root run is the full loop's on the
+            # graph the hunt ran on.
             assert ctx.root == order[best.root]
             assert w.run == best
-            assert ctx.lower_bound == best.lower_bound + w.offset
-            if first.lower_bound + w.offset == ctx.upper_bound:
-                at_first += 1
-                assert runs == 1
-                assert ctx.proven
-            else:
+            assert ctx.lower_bound == max(bound, best.lower_bound + w.offset)
+            if runs > 1:
                 hunted += 1
-                assert runs > 1  # a single run must have proven the round
                 assert runs == every_root or ctx.proven
-                apart += not ctx.proven
+            else:  # the first root's run and the pipeline proved the round
+                assert ctx.proven
+            apart += not ctx.proven
         assert at_first >= 150
         assert hunted >= 40
         assert apart >= 25

@@ -82,7 +82,7 @@ def test_random_instances_match_the_oracle():
 
 def test_bench_family_shapes_match_the_oracle():
     eliminated = searched = 0
-    for inst in family_corpus(2):
+    for inst in family_corpus(3):
         ops, search = check_default_solve(inst)
         eliminated += ops["dual_ascent_bounds"]["changed"] > 0
         searched += search
