@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (
     InputError,
@@ -318,10 +318,14 @@ def rsph(
     instance: Instance,
     within: Optional[Iterable[int]] = None,
     start: Optional[int] = None,
-) -> SteinerTree:
+    stop_at: Optional[int] = None,
+) -> Optional[SteinerTree]:
     """Repeated shortest path heuristic: grow a tree from ``start`` by
-    repeatedly attaching the terminal nearest to the current tree, then prune
-    non-terminal leaves.  Returns a feasible tree, hence an upper bound.
+    repeatedly attaching the terminal nearest to the current tree.  Returns
+    a feasible tree, hence an upper bound.  Each attachment adds a path of
+    new edges that ends at a terminal, so every leaf is a terminal and the
+    cost only grows: with ``stop_at`` the run returns None at the first
+    attachment that brings the cost to ``stop_at`` or more.
 
     One distance-to-tree list serves every attachment: after a path joins
     the tree, ``lower_distances`` from its new vertices lowers what they
@@ -348,6 +352,7 @@ def rsph(
 
     dist = [inf] * net.vertex_count
     tree_edges: set[int] = set()
+    tree_cost = 0
     remaining = set(terms)
     fresh = [start]
     while True:
@@ -358,10 +363,12 @@ def rsph(
         x = min(remaining, key=lambda z: (dist[z], z))
         if dist[x] == inf:
             raise InputError("restriction set does not connect the terminals")
+        tree_cost += dist[x]
+        if stop_at is not None and tree_cost >= stop_at:
+            return None
         steps = tight_path(net, dist, x)
         fresh = [v for v, _ in steps]
         tree_edges.update(eid for _, eid in steps)
-    tree_edges = _prune_leaves(net, tree_edges, terms)
     return SteinerTree.from_edges(net, tree_edges, start)
 
 
@@ -483,36 +490,40 @@ def _spread(items: list[int], cap: int) -> list[int]:
 
 def spread_rsph(
     instance: Instance, deadline: Optional[float] = None
-) -> list[SteinerTree]:
-    """RSPH trees from up to 16 start terminals spread over the sorted
-    terminals; ``deadline`` is checked between starts."""
-    trees = []
+) -> SteinerTree:
+    """The cheapest RSPH tree from up to 16 start terminals spread over the
+    sorted terminals, the earliest of the cheapest; ``deadline`` is checked
+    between starts.  A start stops once its tree costs at least the best
+    finished one: it can no longer win."""
+    best = None
     for s in _spread(sorted(instance.terminals), 16):
         check_deadline(deadline)
-        trees.append(rsph(instance, None, s))
-    return trees
+        tree = rsph(instance, None, s, None if best is None else best.cost)
+        if tree is not None:
+            best = tree
+    return best
 
 
 def upper_bound_pipeline(
     instance: Instance,
     root: int,
     run: Optional[DualAscentResult] = None,
-    starts: Optional[list[SteinerTree]] = None,
+    starts: Optional[Sequence[SteinerTree]] = None,
     deadline: Optional[float] = None,
 ) -> SteinerTree:
     """Best tree among RSPH runs on the full graph and on the dual-ascent
     root component, post-processed by local search.
 
     ``run`` may hand in the ``dual_ascent(instance, root)`` result and
-    ``starts`` the full-graph trees (``spread_rsph``, or fewer); neither is
-    then recomputed.  Local search is skipped when the best tree already
-    costs ``run.lower_bound``: no tree is cheaper, and local search only
-    accepts strict improvements.
+    ``starts`` the full-graph trees (by default the one ``spread_rsph``
+    returns; empty for none); neither is then recomputed.  Local search is
+    skipped when the best tree already costs ``run.lower_bound``: no tree
+    is cheaper, and local search only accepts strict improvements.
     """
     if run is None:
         run = dual_ascent(instance, root)
     if starts is None:
-        starts = spread_rsph(instance, deadline)
+        starts = (spread_rsph(instance, deadline),)
     check_deadline(deadline)
     best = rsph(instance, run.root_component, root)
     if starts:

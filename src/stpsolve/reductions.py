@@ -330,21 +330,23 @@ class _Working:
         upper bound.
 
         Without ``upper_bound`` the bound is the context's incumbent,
-        improved by the upper-bound pipeline on the snapshot.  The first
-        round of a solve offers the best spread RSPH start and hands the
-        starts to the pipeline; later rounds hand it none, so its local
-        search starts from the RSPH tree in the root run's component, and
-        the context keeps the cheaper of that tree and the incumbent.  A round
+        improved by the upper-bound pipeline on the snapshot, whose local
+        search starts from the RSPH tree in the root run's component; the
+        context keeps the cheaper of that tree and the incumbent.  A round
         whose context has a root runs one dual ascent from it.  Otherwise
         the round runs dual ascent from the first root (the smallest
         terminal) and the pipeline with that run.  The first round
         eliminates with that run and leaves the root unpicked, because on
-        the unreduced graph other roots cost more than they add.  The next
-        round picks the root on the graph the first round shrank: while the
-        bounds are apart it runs the other roots, which stop at a bound
-        that meets the improved incumbent, and it keeps the run the full
-        loop over the roots would pick: no run beats a bound that meets an
-        upper bound.  With ``upper_bound`` the root runs stop at it, the
+        the unreduced graph other roots and RSPH starts cost more than
+        they add.  The next round, the hunting round, picks the root on the
+        graph the first round shrank.  It first offers the best spread RSPH
+        start and hands it to the pipeline.  While the bounds are apart it
+        runs the other roots, which stop at a bound that meets the improved
+        incumbent, and it keeps the run the full loop over the roots would
+        pick: no run beats a bound that meets an upper bound.  A first
+        round that deletes nothing goes on as the hunting round on its own
+        snapshot and run, which is the graph and run the next round would
+        make again.  With ``upper_bound`` the root runs stop at it, the
         best picks the root and no pipeline runs.  When the bounds meet the
         incumbent is optimal, the round's run picks the root, and the round
         deletes nothing.
@@ -353,11 +355,6 @@ class _Working:
             return 0
         inst, order, prov = self.snapshot()
         ctx = self.context
-        first_round = self.run is None
-        starts = []
-        if upper_bound is None and first_round:
-            starts = _bounds.spread_rsph(inst, deadline)
-            self.offer(min(starts, key=lambda t: t.cost), prov)
         if ctx.root is not None:
             runs = [_bounds.dual_ascent(inst, order.index(self.survivor(ctx.root)))]
         elif upper_bound is not None:
@@ -365,10 +362,17 @@ class _Working:
         else:
             check_deadline(deadline)
             runs = [_bounds.dual_ascent(inst, min(inst.terminals))]
+        hunt = ctx.root is None and self.run is not None
         for run in runs:  # a timeout in root selection keeps the best bound
             self._adopt(run)
-        if upper_bound is None:
-            hunt = ctx.root is None and not first_round
+        if upper_bound is not None:
+            ctx.root = order[run.root]
+            return self._eliminate(inst, order, run, upper_bound)
+        while True:
+            starts = ()
+            if hunt:
+                starts = (_bounds.spread_rsph(inst, deadline),)
+                self.offer(starts[0], prov)
             tree = _bounds.upper_bound_pipeline(inst, run.root, run, starts, deadline)
             self.offer(tree, prov)
             if hunt and not ctx.proven:
@@ -379,13 +383,24 @@ class _Working:
                 ctx.root = order[run.root]
             if ctx.proven:
                 return 0
-            upper_bound = ctx.upper_bound - self.offset
-        else:
-            ctx.root = order[run.root]
-        if upper_bound >= inst.network.total_cost:
+            changed = self._eliminate(inst, order, run, ctx.upper_bound - self.offset)
+            if changed or ctx.root is not None:
+                return changed
+            hunt = True  # the first round deleted nothing: hunt on its snapshot
+
+    def _eliminate(
+        self,
+        inst: Instance,
+        order: list[int],
+        run: _bounds.DualAscentResult,
+        upper_bound: int,
+    ) -> int:
+        """Delete the vertices and edges of the snapshot ``inst`` (working
+        ids ``order``) whose bound from ``run`` exceeds ``upper_bound``."""
+        net = inst.network
+        if upper_bound >= net.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
         root = run.root
-        net = inst.network
         lower = run.lower_bound
         reduced = run.reduced_cost
         nonroot = inst.terminals - {root}

@@ -23,7 +23,12 @@ from stpsolve import (
     zero_heuristic,
 )
 from stpsolve import SteinerTree
-from stpsolve.bounds import _prune_leaves, _spread, improving_root_runs
+from stpsolve.bounds import (
+    _prune_leaves,
+    _spread,
+    _tree_adjacency,
+    improving_root_runs,
+)
 from conftest import family_corpus, random_grid, random_instance
 
 
@@ -622,12 +627,23 @@ class TestIncrementalUpperBounds:
             got = rsph(inst, within, start)
             want = reference_rsph(inst, within, start)
             assert got.edges == want.edges
+            assert all(  # so leaf pruning has nothing to delete
+                x in inst.terminals
+                for x, nbrs in _tree_adjacency(inst.network, got.edges).items()
+                if len(nbrs) == 1
+            )
             assert local_search(inst, got).edges == reference_local_search(
                 inst, want
             ).edges
+        spread = [rsph(inst, None, s) for s in _spread(sorted(inst.terminals), 16)]
+        cheapest = min(spread, key=lambda t: t.cost)  # the earliest of the cheapest
+        assert spread_rsph(inst).edges == cheapest.edges
+        for tree in spread:  # a start stops once it costs the bound
+            assert rsph(inst, None, tree.root, tree.cost) is None
+            assert rsph(inst, None, tree.root, tree.cost + 1) == tree
         want = reference_pipeline(inst, run).edges
         assert upper_bound_pipeline(inst, run.root, run).edges == want
-        starts = spread_rsph(inst)
+        starts = (spread_rsph(inst),)
         assert upper_bound_pipeline(inst, run.root, run, starts).edges == want
 
     def test_random_instances(self):

@@ -22,10 +22,16 @@ from stpsolve import (
     solve,
     validate_tree,
 )
-from stpsolve.bounds import select_root
+from stpsolve.bounds import _spread, select_root
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
-from conftest import make_diamond, random_grid, random_instance, unit_grid_8x8
+from conftest import (
+    hypercube,
+    make_diamond,
+    random_grid,
+    random_instance,
+    unit_grid_8x8,
+)
 
 
 def unit_grid(width, height, terminals, max_cost, seed):
@@ -109,11 +115,19 @@ class TestProofPath:
         assert ctx.upper_bound == 4  # not cheaper: the incumbent stays
 
 
+def shape(inst):
+    net = inst.network
+    return net.vertex_count, net.edges, inst.terminals
+
+
 class TestFirstRound:
     """The first elimination round runs dual ascent from the first root,
-    improves the incumbent with that run and eliminates with it; the next
-    round picks the root on the graph the first one shrank, trying the
-    other roots only while the bounds are apart."""
+    improves the incumbent with that run and the RSPH tree in its root
+    component, and eliminates with it; the next round, the hunting round,
+    runs the spread RSPH starts and picks the root on the graph the first
+    one shrank, trying the other roots only while the bounds are apart.  A
+    first round that deletes nothing goes on as the hunting round on its
+    own snapshot."""
 
     def test_costs_and_bounds_match_the_oracle(self):
         for inst in proof_corpus(311, 300):
@@ -126,12 +140,27 @@ class TestFirstRound:
 
     def test_other_roots_run_only_while_the_bounds_are_apart(self, monkeypatch):
         runs = 0
-        real = stpsolve.bounds.dual_ascent
+        starts = []  # (instance shape, start) of every full-graph RSPH start
+        real, real_rsph = stpsolve.bounds.dual_ascent, stpsolve.bounds.rsph
 
         def counted(instance, root, terminal_subset=None):
             nonlocal runs
             runs += terminal_subset is None
             return real(instance, root, terminal_subset)
+
+        def counted_rsph(instance, within=None, start=None, stop_at=None):
+            if within is None:
+                starts.append((shape(instance), start))
+            return real_rsph(instance, within, start, stop_at)
+
+        def hunt_on(w):
+            """The snapshot the next round runs on, the working ids of its
+            vertices, its ``select_root`` run and that run's root runs."""
+            nonlocal runs
+            snapshot, order, _ = w.snapshot()
+            runs = 0
+            best = select_root(snapshot)
+            return snapshot, order, best, runs
 
         rng = random.Random(313)
         corpus = [random_instance(rng, 6, 24, 3, 7) for _ in range(150)]
@@ -139,35 +168,44 @@ class TestFirstRound:
             random_grid(rng, 6, 10, costs=(1,), min_t=5, max_t=10)
             for _ in range(250)
         ]
+        corpus += [  # spread terminals on near-unit costs resist elimination
+            hypercube(rng, 6, 8, 100, 110, 3) for _ in range(40)
+        ]
         monkeypatch.setattr(stpsolve.bounds, "dual_ascent", counted)
-        at_first = hunted = apart = 0
+        monkeypatch.setattr(stpsolve.bounds, "rsph", counted_rsph)
+        at_first = hunted = apart = reused = 0
         for inst in corpus:
             ctx = SolveContext()
             w = _Working(inst, ctx)
             w.simple_fixpoint()
             if len(w.terminals) <= 1:
                 continue
-            snapshot, order, _ = w.snapshot()
-            runs = 0
-            w.dual_ascent_elimination()
-            assert runs == 1
+            snapshot, order, best, every_root = hunt_on(w)
             first = real(snapshot, min(snapshot.terminals))
-            assert w.run == first
-            if ctx.proven:
-                at_first += 1
-                assert ctx.root == order[first.root]
-                continue
-            assert ctx.root is None  # eliminated with the first root's run
-            w.simple_fixpoint()
-            if len(w.terminals) <= 1:
-                continue
-            snapshot, order, _ = w.snapshot()
             bound, runs = ctx.lower_bound, 0
-            best = select_root(snapshot)
-            every_root, runs = runs, 0
+            starts.clear()
             w.dual_ascent_elimination()
-            # Whatever ends the hunt, its root run is the full loop's on the
-            # graph the hunt ran on.
+            if starts:  # it deleted nothing and went on to hunt
+                reused += 1
+            else:  # one root run and no full-graph RSPH start
+                assert runs == 1
+                assert w.run == first
+                if ctx.proven:
+                    at_first += 1
+                    assert ctx.root == order[first.root]
+                    continue
+                assert ctx.root is None  # eliminated with the first root's run
+                w.simple_fixpoint()
+                if len(w.terminals) <= 1:
+                    continue
+                snapshot, order, best, every_root = hunt_on(w)
+                bound, runs = ctx.lower_bound, 0
+                w.dual_ascent_elimination()
+            # The hunting round spreads its RSPH starts over its own
+            # snapshot, and whatever ends the hunt, its root run is the
+            # full loop's on that graph.
+            spread = _spread(sorted(snapshot.terminals), 16)
+            assert starts == [(shape(snapshot), s) for s in spread]
             assert ctx.root == order[best.root]
             assert w.run == best
             assert ctx.lower_bound == max(bound, best.lower_bound + w.offset)
@@ -177,14 +215,25 @@ class TestFirstRound:
             else:  # the first root's run and the pipeline proved the round
                 assert ctx.proven
             apart += not ctx.proven
+            if ctx.proven:
+                continue
+            root = ctx.root
+            w.simple_fixpoint()
+            if len(w.terminals) <= 1:
+                continue
+            runs = 0
+            starts.clear()
+            w.dual_ascent_elimination()
+            assert (runs, starts, ctx.root) == (1, [], root)  # later rounds keep it
         assert at_first >= 150
         assert hunted >= 40
         assert apart >= 25
+        assert reused >= 10
 
 
 class TestStatsSchema:
     def test_every_kind_of_solve_reports_the_same_keys(self):
-        grid = unit_grid(12, 12, 10, 1, 0)
+        grid = unit_grid(12, 12, 10, 1, 1)  # searched: the reductions prove seed 0
         trivial = solve(make_diamond())
         proven = solve(unit_grid_8x8())
         searched = solve(grid)
@@ -322,9 +371,10 @@ class TestTimeouts:
         assert validate_tree(inst, result.tree) == result.cost
 
 
-# The first 40 instances are the original corpus; the last 10 keep the
-# number of timeouts above the floor now that a solve makes fewer checks.
-TIMEOUT_CORPUS = proof_corpus(307, 40) + proof_corpus(308, 10)
+# The first 40 instances are the original corpus; the other 40, from two
+# more seeds of the same generator, keep the number of timeouts above the
+# floor as a solve makes fewer deadline checks.
+TIMEOUT_CORPUS = proof_corpus(307, 40) + proof_corpus(308, 10) + proof_corpus(309, 30)
 
 
 def every_timeout(monkeypatch, corpus):
