@@ -50,14 +50,14 @@ class ParsedInstance:
     source_format: str
 
 
+def _rows(text: str):
+    """The tokens of each line of ``text`` that is not blank or a comment."""
+    lines = map(str.strip, text.splitlines())
+    return (line.split() for line in lines if line and line[0] != "#")
+
+
 def _tokenize(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
-    return rows
+    return list(_rows(text))
 
 
 def _field(row: list[str], index: int, what: str) -> int:
@@ -71,6 +71,19 @@ def _field(row: list[str], index: int, what: str) -> int:
     except ValueError:  # more than 4,300 digits
         pass
     raise FormatError(f"expected an integer {what}, got {row[index]!r}")
+
+
+def _fields(row: list[str], *whats: str) -> tuple[int, ...]:
+    """Integers ``row[1]``, ``row[2]``, ... named ``whats``: plain ASCII digits
+    at once, anything else through ``_field``, which reports the first bad one."""
+    tokens = row[1 : len(whats) + 1]
+    digits = "".join(tokens)
+    if len(tokens) == len(whats) and digits.isdigit() and digits.isascii():
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # more than 4,300 digits
+            pass
+    return tuple(_field(row, i, what) for i, what in enumerate(whats, 1))
 
 
 def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
@@ -105,24 +118,21 @@ def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
                 i += 1
                 break
             if name == "graph":
-                if key == "nodes":
-                    node_count = _field(row, 1, "node count")
+                if key == "e":
+                    edge_lines.append(_fields(row, "endpoint", "endpoint", "edge cost"))
+                elif key == "nodes":
+                    (node_count,) = _fields(row, "node count")
                 elif key == "edges":
-                    declared_edges = _field(row, 1, "edge count")
-                elif key == "e":
-                    u = _field(row, 1, "endpoint")
-                    v = _field(row, 2, "endpoint")
-                    w = _field(row, 3, "edge cost")
-                    edge_lines.append((u, v, w))
+                    (declared_edges,) = _fields(row, "edge count")
                 elif key == "obstacles":
                     pass
                 else:
                     raise FormatError(f"unsupported graph line {' '.join(row)!r}")
             elif name == "terminals":
                 if key == "terminals":
-                    declared_terminals = _field(row, 1, "terminal count")
+                    (declared_terminals,) = _fields(row, "terminal count")
                 elif key == "t":
-                    terminal_lines.append(_field(row, 1, "terminal"))
+                    terminal_lines.extend(_fields(row, "terminal"))
                 elif key in ("root", "rootp"):
                     pass
                 else:
@@ -162,45 +172,41 @@ def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
         if not 1 <= t <= node_count:
             raise VertexOutOfRange(f"terminal {t} outside 1..{node_count}")
 
-    return _build(node_count, edge_lines, terminal_lines, fmt)
+    return _build(edge_lines, terminal_lines, fmt)
 
 
 def _build(
-    node_count: int,
     edge_lines: Sequence[tuple[int, int, int]],
     terminal_lines: Sequence[int],
     fmt: str,
 ) -> ParsedInstance:
     # Restrict to the component containing the terminals; reject instances
-    # whose terminals do not share one component.
-    adjacency: dict[int, set[int]] = {}
-    for u, v, _ in edge_lines:
-        if u != v:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
+    # whose terminals do not share one component.  Ids are dense over the
+    # labels that a terminal or an edge other than a loop names, in label
+    # order, so nothing is kept per declared node.
+    links = [(u, v, w) for u, v, w in edge_lines if u != v]
     terminals = sorted(set(terminal_lines))
-    component = {terminals[0]}
-    stack = [terminals[0]]
-    while stack:
-        x = stack.pop()
-        for y in adjacency.get(x, ()):
-            if y not in component:
-                component.add(y)
-                stack.append(y)
-    for t in terminals:
-        if t not in component:
-            raise InputError("terminals are not connected to each other")
-
-    labels = tuple(sorted(component))
+    labels = sorted({u for u, _, _ in links}.union([v for _, v, _ in links], terminals))
     label_to_id = {lab: i for i, lab in enumerate(labels)}
-    edges = [
-        (label_to_id[u], label_to_id[v], w)
-        for u, v, w in edge_lines
-        if u in component and v in component and u != v
-    ]
+    edges = [(label_to_id[u], label_to_id[v], w) for u, v, w in links]
+    neighbours = [[] for _ in labels]
+    for i, j, _ in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen = [False] * len(labels)
+    stack = [label_to_id[terminals[0]]]
+    while stack:
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = True
+            stack.extend(neighbours[i])
+    if not all(seen[label_to_id[t]] for t in terminals):
+        raise InputError("terminals are not connected to each other")
+    if not all(seen):  # the same again without the other components
+        return _build([e for e in links if seen[label_to_id[e[0]]]], terminals, fmt)
     network = Network(len(labels), edges)
     instance = Instance(network, frozenset(label_to_id[t] for t in terminals))
-    return ParsedInstance(instance, labels, label_to_id, fmt)
+    return ParsedInstance(instance, tuple(labels), label_to_id, fmt)
 
 
 def parse_stp(text: str) -> ParsedInstance:
@@ -219,7 +225,7 @@ def parse_gr(text: str) -> ParsedInstance:
 
 def detect_format(text: str) -> str:
     """Classify instance text as 'stp' or 'gr' by its first meaningful line."""
-    for row in _tokenize(text):
+    for row in _rows(text):
         if row[0].lower().startswith(STP_MAGIC):
             return "stp"
         if row[0].lower() == "section":
@@ -229,12 +235,14 @@ def detect_format(text: str) -> str:
 
 
 def parse_instance(text: str | bytes, fmt: str = "auto") -> ParsedInstance:
-    """Parse instance text; bytes must be UTF-8."""
+    """Parse instance text; bytes must be UTF-8.  One leading byte-order
+    mark is skipped."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"instance is not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "stp":

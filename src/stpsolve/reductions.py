@@ -114,6 +114,8 @@ class _Working:
         self.offset = 0
         self.forced: list[tuple[int, ...]] = []
         self.merged_into: dict[int, int] = {}
+        # True until a primitive mutation runs: the graph is still the input's.
+        self.pristine = True
         # The last elimination round's root run, None before the first round.
         self.run: Optional[_bounds.DualAscentResult] = None
 
@@ -126,10 +128,12 @@ class _Working:
         return sum(len(d) for d in self.adj.values()) // 2
 
     def remove_edge(self, u: int, v: int):
+        self.pristine = False
         self.adj[u].pop(v)
         self.adj[v].pop(u)
 
     def remove_vertex(self, v: int):
+        self.pristine = False
         for n in list(self.adj[v]):
             self.adj[n].pop(v)
         del self.adj[v]
@@ -142,6 +146,7 @@ class _Working:
         cur = self.adj[u].get(v)
         if cur is not None and cur[0] <= cost:
             return False
+        self.pristine = False
         entry = (cost, prov)
         self.adj[u][v] = entry
         self.adj[v][u] = entry
@@ -153,6 +158,7 @@ class _Working:
         terminal.  Returns the survivor."""
         if b not in self.adj.get(a, {}):
             raise InputError(f"cannot contract missing edge ({a}, {b})")
+        self.pristine = False
         a_term, b_term = a in self.terminals, b in self.terminals
         if a_term and not b_term:
             survivor, absorbed = b, a
@@ -186,8 +192,9 @@ class _Working:
         return v
 
     def restrict_to_terminal_component(self) -> int:
-        """Drop vertices outside the terminals' component (always safe)."""
-        if not self.terminals:
+        """Drop vertices outside the terminals' component (always safe).  The
+        unchanged input graph is connected."""
+        if not self.terminals or self.pristine:
             return 0
         start = min(self.terminals)
         comp = {start}
@@ -212,8 +219,13 @@ class _Working:
 
         Returns the instance, the ordered list mapping its dense ids back to
         working ids, and ``prov``: ``prov[eid]`` is the provenance of its
-        edge ``eid``.
+        edge ``eid``.  An unchanged graph is the (connected) input instance,
+        with the identity order and provenance that a rebuild would give.
         """
+        if self.pristine:
+            net = self.instance.network
+            prov = [(eid,) for eid in range(net.edge_count)]
+            return self.instance, list(range(net.vertex_count)), prov
         self.restrict_to_terminal_component()
         order = sorted(self.alive)
         pos = {v: i for i, v in enumerate(order)}

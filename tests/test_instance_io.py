@@ -19,6 +19,7 @@ from stpsolve import (
     write_instance,
     write_solution,
 )
+from stpsolve import instance_io
 from stpsolve.cli import main
 from stpsolve.instance_io import FormatError, detect_format
 from conftest import random_instance
@@ -193,6 +194,15 @@ class TestIntegerFields:
         with pytest.raises(FormatError, match="expected an integer"):
             parse_instance(PATH_STP.replace("E 1 2 2", "E 1 2 " + "1" * 5000))
 
+    def test_leading_zeros_are_digits(self):
+        parsed = parse_instance(PATH_STP.replace("E 1 2 2", "E 1 2 007"))
+        assert parsed.instance.network.edges == ((0, 1, 7), (1, 2, 3))
+
+    @pytest.mark.parametrize("zero", ["+0", "-0"])
+    def test_a_signed_zero_cost_is_not_positive(self, zero):
+        with pytest.raises(NonPositiveWeight):
+            parse_instance(PATH_STP.replace("E 1 2 2", "E 1 2 " + zero))
+
     def test_a_signed_integer_is_an_integer(self):
         text = PATH_STP.replace("Nodes 3", "Nodes +3").replace("T 3", "T +3")
         signed = parse_instance(text).instance
@@ -209,6 +219,41 @@ class TestDetectFormat:
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):
             detect_format("hello world\n")
+
+    @pytest.mark.parametrize("text", [PATH_STP, STAR_GR], ids=["stp", "gr"])
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_one_byte_order_mark_is_skipped(self, text, as_bytes):
+        marked = "\ufeff" + text
+        parsed = parse_instance(marked.encode("utf-8") if as_bytes else marked)
+        plain = parse_instance(text)
+        assert parsed.instance.network.edges == plain.instance.network.edges
+        assert parsed.instance.terminals == plain.instance.terminals
+        assert parsed.source_format == plain.source_format
+        with pytest.raises(FormatError):
+            parse_instance("\ufeff" + marked)
+
+    @pytest.mark.parametrize("text", [PATH_STP, STAR_GR], ids=["stp", "gr"])
+    def test_a_file_is_tokenized_once(self, text, monkeypatch):
+        calls, real = [], instance_io._tokenize
+
+        def tokenize(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(instance_io, "_tokenize", tokenize)
+        parse_instance(text.encode("utf-8"))
+        parse_instance(text)
+        assert calls == [text, text]
+
+
+class TestDeclaredNodes:
+    def test_a_huge_node_count_keeps_only_the_named_vertices(self):
+        # Nothing is allocated per declared node: the count only bounds the
+        # labels.
+        text = PATH_STP.replace("Nodes 3", "Nodes 1000000000000")
+        parsed = parse_instance(text)
+        assert parsed.instance.network.vertex_count == 3
+        assert parsed.labels == (1, 2, 3)
 
 
 class TestWriteSolution:

@@ -16,6 +16,7 @@ from stpsolve import (
     run_pipeline,
     select_root,
     simple_reductions,
+    solve,
     unreduce,
     upper_bound_pipeline,
     validate_tree,
@@ -155,6 +156,73 @@ class TestPipeline:
             assert bool(again.changed) == (size(again.reduced) < size(pre.reduced))
             unchanged += not again.changed
         assert unchanged >= 20
+
+
+_snapshot = _Working.snapshot
+
+
+def rebuilt_snapshot(w):
+    """What ``w.snapshot()`` gives when it rebuilds the graph whatever its
+    state."""
+    w.pristine = False
+    return _snapshot(w)
+
+
+def shape(inst):
+    net = inst.network
+    return net.vertex_count, net.edges, net.adjacency, inst.terminals
+
+
+class TestSnapshotReuse:
+    """While no primitive has changed the working graph, ``snapshot`` hands
+    back the input instance instead of building the same graph again."""
+
+    def test_an_untouched_graph_is_the_input_equal_to_a_rebuild(self):
+        rng = random.Random(347)
+        corpus = [random_instance(rng) for _ in range(40)]
+        for inst in corpus + [random_grid(rng) for _ in range(20)] + family_corpus(3):
+            reused, order, prov = _Working(inst).snapshot()
+            assert reused is inst
+            assert order == list(range(inst.network.vertex_count))
+            assert prov == [(eid,) for eid in range(inst.network.edge_count)]
+            rebuilt, rebuilt_order, rebuilt_prov = rebuilt_snapshot(_Working(inst))
+            assert rebuilt is not inst
+            assert shape(rebuilt) == shape(reused)
+            assert (rebuilt_order, rebuilt_prov) == (order, prov)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda w: w.remove_edge(2, 3),
+            lambda w: w.remove_vertex(3),
+            lambda w: w.add_or_min_edge(1, 3, 2, (4,)),
+            lambda w: w.contract_edge_pair(0, 1),
+        ],
+        ids=["remove_edge", "remove_vertex", "add_or_min_edge", "contract_edge_pair"],
+    )
+    def test_each_primitive_makes_the_next_snapshot_a_rebuild(self, fix_ntdk, change):
+        w = _Working(fix_ntdk)
+        change(w)
+        rebuilt = w.snapshot()[0]
+        assert rebuilt is not fix_ntdk
+        assert shape(rebuilt) != shape(fix_ntdk)
+
+    def test_an_edge_that_does_not_replace_one_changes_nothing(self, fix_ntdk):
+        w = _Working(fix_ntdk)
+        assert not w.add_or_min_edge(0, 1, 4, ())  # the edge {0, 1} costs 4
+        assert w.snapshot()[0] is fix_ntdk
+
+    def test_solves_equal_those_that_rebuild_every_graph(self, monkeypatch):
+        def outcome(result):
+            stats = {k: v for k, v in result.stats.items() if k != "wall_time"}
+            if stats["search"] is not None:
+                stats["search"] = dict(stats["search"], wall_time=None)
+            return result.cost, result.tree.edges, stats
+
+        corpus = family_corpus(3)
+        reused = [outcome(solve(inst)) for inst in corpus]
+        monkeypatch.setattr(_Working, "snapshot", rebuilt_snapshot)
+        assert [outcome(solve(inst)) for inst in corpus] == reused
 
 
 class TestProvenance:
