@@ -17,7 +17,6 @@ from .graph import (
     Instance,
     Network,
     SteinerTree,
-    arc_layout,
     check_deadline,
     lower_distances,
     mst_over_points,
@@ -61,11 +60,10 @@ class TerminalIndex:
 class DualAscentResult:
     """Outcome of one dual-ascent run.
 
-    ``reduced_cost[a]`` is the remaining cost of arc ``a`` in the layout of
-    ``graph.arc_layout``: arc u->v of edge ``eid`` has id
-    ``2 * eid + (u > v)``.  ``root_component`` is the set of vertices the
-    root reaches along zero-reduced-cost arcs, which contains every terminal
-    of the subset at termination.
+    ``reduced_cost[a]`` is the remaining cost of arc ``a`` of the network:
+    arc u->v of edge ``eid`` has id ``2 * eid + (u > v)``.  ``root_component``
+    is the set of vertices the root reaches along zero-reduced-cost arcs,
+    which contains every terminal of the subset at termination.
     """
 
     lower_bound: int
@@ -99,8 +97,8 @@ def dual_ascent(
     if not subset <= instance.terminals:
         raise InputError("terminal subset must consist of instance terminals")
 
-    tail, cost, out = arc_layout(net)
-    reduced = list(cost)
+    tail, out = net.tail, net.out
+    reduced = list(net.arc_cost)
     lower = 0
     active = set(subset) - {root}
     cuts = {z: {z} for z in active}
@@ -347,7 +345,7 @@ def rsph(
         allowed = frozenset(within)
         if not terms <= allowed:
             raise InputError("restriction set must contain every terminal")
-        tail, cost, _ = arc_layout(net)
+        tail, cost = net.tail, net.arc_cost
         arc_costs = [c if tail[a ^ 1] in allowed else inf for a, c in enumerate(cost)]
 
     dist = [inf] * net.vertex_count

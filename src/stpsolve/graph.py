@@ -60,6 +60,11 @@ class Network:
     """Undirected connected-or-not graph with positive integer edge costs.
 
     Parallel edge inserts keep the minimum cost; self loops are rejected.
+    ``edges`` holds each edge once as (u, v, cost) with u < v, sorted.  Edge
+    ``eid`` gives arc u->v the id ``2 * eid`` and arc v->u the id
+    ``2 * eid + 1``, so the reverse of arc ``a`` is ``a ^ 1`` and its edge is
+    ``a >> 1``.  ``tail[a]`` and ``arc_cost[a]`` describe arc ``a``, and
+    ``out[x]`` lists (neighbor y, id of arc x->y) sorted by neighbor.
     Networks are immutable after construction and safe to share between
     concurrent solves.
     """
@@ -86,16 +91,17 @@ class Network:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, best[(u, v)]) for (u, v) in sorted(best)
         )
-        self.edge_index: dict[tuple[int, int], int] = {
-            (u, v): i for i, (u, v, _) in enumerate(self.edges)
-        }
-        adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(vertex_count)]
+        # Filled in sorted edge order, out[x] needs no sort: a neighbor
+        # below x comes from an edge (u, x), before every edge (x, v).
+        tail, arc_cost, out = [], [], [[] for _ in range(vertex_count)]
         for eid, (u, v, cost) in enumerate(self.edges):
-            adjacency[u].append((v, cost, eid))
-            adjacency[v].append((u, cost, eid))
-        self.adjacency: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adjacency
-        )
+            tail += (u, v)
+            arc_cost += (cost, cost)
+            out[u].append((v, 2 * eid))
+            out[v].append((u, 2 * eid + 1))
+        self.tail = tuple(tail)
+        self.arc_cost = tuple(arc_cost)
+        self.out = tuple(map(tuple, out))
         self.total_cost = sum(c for _, _, c in self.edges)
         if self.total_cost > MAX_TOTAL_COST:
             raise InputError("total edge cost exceeds the supported range")
@@ -104,32 +110,18 @@ class Network:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
-    def edge_between(self, u: int, v: int) -> Optional[int]:
-        """Edge id of {u, v}, or None."""
-        key = (u, v) if u < v else (v, u)
-        return self.edge_index.get(key)
-
     def cost_of(self, eid: int) -> int:
         return self.edges[eid][2]
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        seen = [False] * self.vertex_count
-        seen[0] = True
+        seen = [True] + [False] * (self.vertex_count - 1)
         stack = [0]
-        count = 1
         while stack:
-            u = stack.pop()
-            for v, _, _ in self.adjacency[u]:
+            for v, _ in self.out[stack.pop()]:
                 if not seen[v]:
                     seen[v] = True
-                    count += 1
                     stack.append(v)
-        return count == self.vertex_count
+        return all(seen)
 
 
 @dataclass(frozen=True)
@@ -174,16 +166,16 @@ def lower_distances(
 ) -> Optional[int]:
     """Dijkstra that lowers the caller's ``dist`` list in place.
 
-    Every source is set to 0 and arcs are followed along ``arc_layout``'s
-    ``out`` lists; ``arc_costs`` is indexed by arc id and defaults to the
-    edge costs.  An entry only ever goes down, so a kept ``dist`` is lowered
+    Every source is set to 0 and arcs are followed along the network's
+    ``out`` lists; ``arc_costs`` is indexed by arc id and defaults to
+    ``arc_cost``.  An entry only ever goes down, so a kept ``dist`` is lowered
     by a second call, and an entry pre-set to -1 is never entered.  With
     positive costs, vertices are settled in (distance, id) order; the first
     one in ``stop`` ends the run and is returned, else None.
     """
-    _, cost, out = arc_layout(network)
+    out = network.out
     if arc_costs is None:
-        arc_costs = cost
+        arc_costs = network.arc_cost
     heap = []
     for s in sources:
         dist[s] = 0
@@ -213,12 +205,12 @@ def tight_path(network: Network, dist: Sequence[int], x: int) -> list[tuple[int,
     """
     steps = []
     while dist[x]:
-        _, y, eid = min(
-            (dist[y], y, eid)
-            for y, cost, eid in network.adjacency[x]
-            if dist[y] + cost == dist[x]
+        _, y, a = min(
+            (dist[y], y, a)
+            for y, a in network.out[x]
+            if dist[y] + network.arc_cost[a] == dist[x]
         )
-        steps.append((x, eid))
+        steps.append((x, a >> 1))
         x = y
     return steps
 
@@ -247,28 +239,6 @@ def shortest_path_edges(network: Network, source: int, target: int) -> list[int]
     if lower_distances(network, dist, (source,), stop=(target,)) is None:
         raise InputError(f"no path from {source} to {target}")
     return [eid for _, eid in reversed(tight_path(network, dist, target))]
-
-
-def arc_layout(network: Network):
-    """(tail, cost, out) of the bidirected network, memoized on it.
-
-    Edge ``eid`` = (u, v), stored with u < v, gives arc u->v the id
-    ``2 * eid`` and arc v->u the id ``2 * eid + 1``, so the reverse of arc
-    ``a`` is ``a ^ 1``.  ``tail[a]`` and ``cost[a]`` describe arc ``a``, and
-    ``out[x]`` lists (neighbor y, id of arc x->y) sorted by neighbor.
-    """
-    cached = getattr(network, "_arc_layout", None)
-    if cached is None:
-        cached = (
-            tuple(x for u, v, _ in network.edges for x in (u, v)),
-            tuple(c for _, _, c in network.edges for _ in (0, 1)),
-            tuple(
-                tuple((y, 2 * eid + (x > y)) for y, _, eid in network.adjacency[x])
-                for x in range(network.vertex_count)
-            ),
-        )
-        network._arc_layout = cached
-    return cached
 
 
 def distance_matrix(network: Network) -> tuple[list[int], ...]:

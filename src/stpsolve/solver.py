@@ -211,9 +211,15 @@ class PruneState:
     )
 
 
-def make_prune_state(instance: Instance, root: int) -> PruneState:
+def make_prune_state(
+    instance: Instance, root: int, deadline: Optional[float] = None
+) -> PruneState:
+    """One distance row per terminal; ``deadline`` is checked before each."""
     terms = tuple(sorted(instance.terminals))
-    rows = {z: shortest_path_distances(instance.network, z) for z in terms}
+    rows = {}
+    for z in terms:
+        check_deadline(deadline)
+        rows[z] = shortest_path_distances(instance.network, z)
     return PruneState(TerminalIndex(instance.terminals, root), terms, rows)
 
 
@@ -269,7 +275,9 @@ def prune_combine(
 def compute_smt(
     retrace: dict, network: Network, index: TerminalIndex, u: int, mask: int
 ) -> set[int]:
-    """Collect tree edges by following retrace sets from (u, mask)."""
+    """Collect tree edges by following retrace entries from (u, mask): a
+    relaxed state's is the arc ``a`` that reached it (edge ``a >> 1``, from
+    state ``(tail[a], mask)``), a merged state's its two submasks."""
     edges: set[int] = set()
     stack = [(u, mask)]
     seen = set()
@@ -283,13 +291,11 @@ def compute_smt(
             if m.bit_count() == 1 and index.order[m.bit_length() - 1] == x:
                 continue  # base state (z, {z})
             raise InternalError(f"dangling retrace reference at {(x, m)}")
-        for y, m2 in entry:
-            if y != x:
-                eid = network.edge_between(x, y)
-                if eid is None:
-                    raise InternalError("retrace crosses a missing edge")
-                edges.add(eid)
-            stack.append((y, m2))
+        if isinstance(entry, int):
+            edges.add(entry >> 1)
+            stack.append((network.tail[entry], m))
+        else:
+            stack.extend((x, half) for half in entry)
     return edges
 
 
@@ -325,6 +331,10 @@ def ds_star(
     full = index.full_mask
     h_memo: dict[tuple[int, int], int] = {}
 
+    def timeout() -> SolveTimeout:
+        stats.wall_time = time.perf_counter() - start
+        return SolveTimeout(stats)
+
     def guide(u: int, mask: int) -> int:
         key = (u, mask)
         val = h_memo.get(key)
@@ -334,18 +344,20 @@ def ds_star(
         try:
             val = heuristic.eval_mask(u, full ^ mask)
         except SolveTimeout:  # raised before a table build
-            stats.wall_time = time.perf_counter() - start
-            raise SolveTimeout(stats) from None
+            raise timeout() from None
         if val < 0:
             raise HeuristicNegative(f"heuristic value {val} at {key}")
         h_memo[key] = val
         return val
 
     tentative: dict[tuple[int, int], int] = {}
-    retrace: dict[tuple[int, int], tuple] = {}
+    retrace: dict[tuple[int, int], int | tuple[int, int]] = {}
     expanded_at: dict[int, list[int]] = {}
     done: set[tuple[int, int]] = set()
-    prune_state = make_prune_state(instance, root) if pruning else None
+    try:
+        prune_state = make_prune_state(instance, root, deadline) if pruning else None
+    except SolveTimeout:
+        raise timeout() from None
 
     heap = []
     for z in index.order:
@@ -364,6 +376,7 @@ def ds_star(
         if len(heap) > stats.queue_peak:
             stats.queue_peak = len(heap)
 
+    out, arc_cost = net.out, net.arc_cost
     goal = (root, full)
     while goal not in done:
         if not heap:
@@ -375,8 +388,7 @@ def ds_star(
             continue
         stats.expansions += 1
         if deadline is not None and time.monotonic() > deadline:
-            stats.wall_time = time.perf_counter() - start
-            raise SolveTimeout(stats)
+            raise timeout()
         if (u, mask) in done:
             stats.re_expansions += 1
         else:
@@ -392,19 +404,19 @@ def ds_star(
             known = tentative.get((u, union))
             if known is None or value < known:
                 tentative[(u, union)] = value
-                retrace[(u, union)] = ((u, mask), (u, other))
+                retrace[(u, union)] = (mask, other)
                 if pruning and prune_combine(prune_state, u, mask, other, value):
                     stats.prune_hits += 1
                 else:
                     push(u, union, value)
 
         # Relax along incident edges.
-        for v, cost, _ in net.adjacency[u]:
-            value = current + cost
+        for v, a in out[u]:
+            value = current + arc_cost[a]
             known = tentative.get((v, mask))
             if known is None or value < known:
                 tentative[(v, mask)] = value
-                retrace[(v, mask)] = ((u, mask),)
+                retrace[(v, mask)] = a
                 if pruning and prune(prune_state, v, mask, value):
                     stats.prune_hits += 1
                 else:

@@ -81,6 +81,17 @@ def fix_ntdk():
     return make_ntdk()
 
 
+def neighbors(network, x):
+    """(neighbor, edge cost, edge id) for each edge at ``x``, read from the
+    network's ``out`` list, so sorted by neighbor."""
+    return [(y, network.arc_cost[a], a >> 1) for y, a in network.out[x]]
+
+
+def edge_between(network, u, v):
+    """Id of the edge {u, v}, or None."""
+    return next((a >> 1 for y, a in network.out[u] if y == v), None)
+
+
 def random_instance(rng, min_n=4, max_n=14, min_t=2, max_t=6, max_cost=20):
     """Connected random instance: a random spanning tree plus extra edges."""
     n = rng.randint(min_n, max_n)

@@ -29,7 +29,13 @@ from stpsolve.bounds import (
     _tree_adjacency,
     improving_root_runs,
 )
-from conftest import family_corpus, random_grid, random_instance
+from conftest import (
+    edge_between,
+    family_corpus,
+    neighbors,
+    random_grid,
+    random_instance,
+)
 
 
 def csmt(instance, terminals):
@@ -97,7 +103,7 @@ def reference_dual_ascent(instance, root, subset):
         stack = [start]
         while stack:
             x = stack.pop()
-            for y, _, _ in net.adjacency[x]:
+            for y, _, _ in neighbors(net, x):
                 arc = (y, x) if backwards else (x, y)
                 if y not in seen and reduced[arc] == 0:
                     seen.add(y)
@@ -106,7 +112,7 @@ def reference_dual_ascent(instance, root, subset):
 
     lower = 0
     active = set(subset) - {root}
-    queue = [(net.degree(z), z) for z in sorted(active)]
+    queue = [(len(net.out[z]), z) for z in sorted(active)]
     heapq.heapify(queue)
     while queue:
         _, z = heapq.heappop(queue)
@@ -115,7 +121,7 @@ def reference_dual_ascent(instance, root, subset):
             active.discard(z)
             continue
         arcs = [
-            (y, x) for x in cut for y, _, _ in net.adjacency[x] if y not in cut
+            (y, x) for x in cut for y, _, _ in neighbors(net, x) if y not in cut
         ]
         if queue and len(arcs) > queue[0][0]:
             heapq.heappush(queue, (len(arcs), z))
@@ -300,7 +306,7 @@ class TestRsph:
 class TestLocalSearch:
     def test_diamond_path_exchange(self, fix_diamond):
         net = fix_diamond.network
-        bad_edges = {net.edge_between(0, 3), net.edge_between(3, 1)}
+        bad_edges = {edge_between(net, 0, 3), edge_between(net, 3, 1)}
         from stpsolve import SteinerTree
 
         bad = SteinerTree.from_edges(net, bad_edges, 0)
@@ -500,7 +506,7 @@ def reference_rsph(instance, within, start):
             if u in remaining:
                 reached = u
                 break
-            for v, cost, eid in net.adjacency[u]:
+            for v, cost, eid in neighbors(net, u):
                 if allowed is not None and v not in allowed:
                     continue
                 nd = d + cost
@@ -584,7 +590,7 @@ def reference_local_search(instance, tree):
                 if u in comp_b:
                     hit = u
                     break
-                for w, cost, eid in net.adjacency[u]:
+                for w, cost, eid in neighbors(net, u):
                     nd = d + cost
                     if w not in dist or nd < dist[w]:
                         dist[w] = nd

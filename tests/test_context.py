@@ -21,6 +21,7 @@ from stpsolve import (
     dual_ascent,
     solve,
     validate_tree,
+    zero_heuristic,
 )
 from stpsolve.bounds import _spread, select_root
 from stpsolve.graph import SolveTimeout
@@ -336,6 +337,30 @@ class TestTimeouts:
                 after_a_run += 1
                 assert 0 < result.stats["lower_bound"] <= expected
         assert after_a_run >= 60
+
+    def test_a_past_deadline_stops_the_prune_table(self, monkeypatch):
+        # The prune table's rows are one Dijkstra per terminal; with the
+        # deadline already past, the search stops before the second row and
+        # reports its (zero) counters.
+        rows = 0
+        real = stpsolve.solver.shortest_path_distances
+
+        def row(network, source):
+            nonlocal rows
+            rows += 1
+            return real(network, source)
+
+        monkeypatch.setattr(stpsolve.solver, "shortest_path_distances", row)
+        inst = unit_grid(20, 20, 10, 1, 9)
+        root = min(inst.terminals)
+        with pytest.raises(SolveTimeout) as info:
+            stpsolve.solver.ds_star(
+                inst, root, zero_heuristic(inst, root), True, time.monotonic() - 1
+            )
+        assert rows <= 1
+        search = info.value.search
+        assert search is not None
+        assert search.expansions == search.insertions == 0
 
     def test_a_deadline_at_the_first_search_check_builds_no_table(self, monkeypatch):
         # The deadline passes at the first check inside the search, which

@@ -17,13 +17,12 @@ from stpsolve import (
     validate_tree,
 )
 from stpsolve.graph import (
-    arc_layout,
     lower_distances,
     mst_over_points,
     shortest_path_edges,
     tight_path,
 )
-from conftest import random_grid, random_instance
+from conftest import edge_between, neighbors, random_grid, random_instance
 
 
 class TestNetwork:
@@ -45,6 +44,36 @@ class TestNetwork:
     def test_total_cost_overflow_rejected(self):
         with pytest.raises(InputError):
             Network(3, [(0, 1, 1 << 62), (1, 2, 1 << 62)])
+
+    def test_arc_layout_invariants(self):
+        # Edges come shuffled, in both orientations and with parallel
+        # copies; ``out`` must still list each vertex's arcs by strictly
+        # increasing neighbor, the order the solver's tie-breaks follow.
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            cheapest = {}
+            given = []
+            for u, v in rng.sample(pairs, rng.randint(0, len(pairs))):
+                for _ in range(rng.randint(1, 3)):
+                    cost = rng.randint(1, 9)
+                    cheapest[(u, v)] = min(cost, cheapest.get((u, v), cost))
+                    given.append((u, v, cost) if rng.random() < 0.5 else (v, u, cost))
+            rng.shuffle(given)
+            net = Network(n, given)
+            want = tuple((u, v, c) for (u, v), c in sorted(cheapest.items()))
+            assert net.edges == want
+            assert sum(len(arcs) for arcs in net.out) == 2 * net.edge_count
+            every_arc = sorted(a for arcs in net.out for _, a in arcs)
+            assert every_arc == list(range(2 * net.edge_count))
+            for x in range(n):
+                ys = [y for y, _ in net.out[x]]
+                assert all(y < z for y, z in zip(ys, ys[1:]))
+                for y, a in net.out[x]:
+                    assert net.tail[a] == x and net.tail[a ^ 1] == y
+                    cost = net.edges[a >> 1][2]
+                    assert net.arc_cost[a] == net.arc_cost[a ^ 1] == cost
 
     def test_instance_requires_connected_network(self):
         net = Network(4, [(0, 1, 1), (2, 3, 1)])
@@ -80,7 +109,7 @@ def reference_directed_distances(network, arc_costs, sources, reverse=False):
     """Copy of the former ``bounds.directed_distances``: multi-source
     Dijkstra over arc costs; ``reverse`` follows every arc backwards."""
     flip = 1 if reverse else 0
-    _, _, out = arc_layout(network)
+    out = network.out
     inf = network.total_cost + 1
     dist = [inf] * network.vertex_count
     heap = []
@@ -109,7 +138,7 @@ def reference_banned_dijkstra(network, source, banned=None):
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, c, _ in network.adjacency[u]:
+        for v, c, _ in neighbors(network, u):
             if v == banned:
                 continue
             nd = d + c
@@ -130,7 +159,7 @@ def reference_settlers(network, sources):
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for w, cost, eid in network.adjacency[u]:
+        for w, cost, eid in neighbors(network, u):
             nd = d + cost
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
@@ -151,7 +180,7 @@ def kernel_corpus():
         else:
             inst = random_grid(rng, 2, 7, costs=rng.choice([(1,), (1, 2)]), max_chords=3)
         net = inst.network
-        arc_costs = [rng.randint(0, c) for c in arc_layout(net)[1]]
+        arc_costs = [rng.randint(0, c) for c in net.arc_cost]
         sources = rng.sample(range(net.vertex_count), rng.randint(1, 3))
         cases.append((net, arc_costs, sources, rng))
     return cases
@@ -168,8 +197,7 @@ class TestLowerDistances:
             assert dist == reference_directed_distances(net, arc_costs, sources)
             dist = self.fresh(net)
             lower_distances(net, dist, sources)
-            edge_costs = arc_layout(net)[1]
-            assert dist == reference_directed_distances(net, edge_costs, sources)
+            assert dist == reference_directed_distances(net, net.arc_cost, sources)
 
     def test_two_lowerings_equal_one_multi_source_run(self):
         for net, arc_costs, sources, rng in kernel_corpus():
@@ -295,7 +323,7 @@ def graph_mst(network):
     missing = network.total_cost + 1
 
     def cost(i, j):
-        eid = network.edge_between(i, j)
+        eid = edge_between(network, i, j)
         return missing if eid is None else network.cost_of(eid)
 
     return mst_over_points(network.vertex_count, cost)
@@ -393,7 +421,7 @@ class TestValidateTree:
 
     def test_terminal_missing(self, fix_star):
         net = fix_star.network
-        edges = {net.edge_between(0, 1), net.edge_between(0, 2)}
+        edges = {edge_between(net, 0, 1), edge_between(net, 0, 2)}
         tree = SteinerTree.from_edges(net, edges, 1)
         with pytest.raises(TerminalMissing):
             validate_tree(fix_star, tree)

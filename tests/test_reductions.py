@@ -170,7 +170,7 @@ def rebuilt_snapshot(w):
 
 def shape(inst):
     net = inst.network
-    return net.vertex_count, net.edges, net.adjacency, inst.terminals
+    return net.vertex_count, net.edges, net.out, inst.terminals
 
 
 class TestSnapshotReuse:

@@ -6,11 +6,13 @@ import pytest
 from stpsolve import (
     InputError,
     Instance,
+    InternalError,
     Network,
     SolveConfig,
     SolveContext,
     TooManyTerminals,
     combine_split_cost,
+    compute_smt,
     da_heuristic,
     dreyfus_wagner,
     ds_star,
@@ -255,10 +257,32 @@ class TestPruning:
 
 class TestComputeSmt:
     def test_base_state_has_no_edges(self, fix_star):
-        from stpsolve import compute_smt
-
         index = TerminalIndex(fix_star.terminals, 3)
         assert compute_smt({}, fix_star.network, index, 1, index.bit[1]) == set()
+
+    def test_a_missing_state_raises(self, fix_path):
+        # (0, {2}) was reached along arc 1->0 (edge 0), but (1, {2}) is
+        # neither recorded nor a base state.
+        index = TerminalIndex(fix_path.terminals, 0)
+        mask = index.bit[2]
+        with pytest.raises(InternalError):
+            compute_smt({(0, mask): 1}, fix_path.network, index, 0, mask)
+
+    def test_one_arc_gives_its_edge(self, fix_path):
+        # Arc 3 is 2->1, the reverse of edge 1 = (1, 2).
+        net = fix_path.network
+        index = TerminalIndex(fix_path.terminals, 0)
+        mask = index.bit[2]
+        assert net.tail[3] == 2
+        assert compute_smt({(1, mask): 3}, net, index, 1, mask) == {1}
+
+    def test_a_merge_follows_both_halves(self, fix_star):
+        # Terminals 1 and 2 meet at the centre 0 along arcs 1->0 and 2->0.
+        index = TerminalIndex(fix_star.terminals, 3)
+        one, two = index.bit[1], index.bit[2]
+        retrace = {(0, one | two): (one, two), (0, one): 1, (0, two): 3}
+        got = compute_smt(retrace, fix_star.network, index, 0, one | two)
+        assert got == {0, 1}
 
     def test_path_goal_retrace(self, fix_path):
         _, tree, _ = ds_star(fix_path, 0, zero_heuristic(fix_path, 0), False)
