@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (
@@ -219,6 +220,82 @@ class DualAscentHeuristic(SteinerHeuristic):
         return lower + rows[u]
 
 
+# A search that has built dual-ascent tables for 1/EXACT_AFTER of the
+# complement masks will likely query most of them, so from then on exact
+# tables pay; searches that end sooner (most unit grids) never build a
+# terminal row.  Only masks of at most EXACT_TERMINAL_CAP non-root terminals
+# get one: a table then takes at most 31 splits and its closure at most 63
+# subset tables.
+EXACT_AFTER = 8
+EXACT_TERMINAL_CAP = 5
+
+
+class ExactSubsetHeuristic(DualAscentHeuristic):
+    """Dual-ascent tables that give way to exact Dreyfus-Wagner tables.
+
+    Once dual-ascent tables exist for 1/``EXACT_AFTER`` of the 2^(k-1)
+    complement masks (k terminals, root included), each new mask J of at
+    most ``EXACT_TERMINAL_CAP`` terminals gets the exact table
+    S(J + root) instead: the value for (u, J) is then the cost of the
+    cheapest tree spanning J, the root and u, the sub-instance optimum.
+    Masks tabled before the switch keep their dual-ascent tables.  The
+    switch depends only on table counts, so searches stay deterministic.
+
+    Subset tables are keyed by a bitmask over all terminals, the root as
+    the top bit.  S({t}) is t's distance row; for two or more terminals,
+    every vertex starts at the cheapest split X = A + B (A holding X's
+    lowest bit) of S(A)[v] + S(B)[v], and one seeded ``lower_distances``
+    run finishes S(X).  A set ``deadline`` is checked before every table.
+    """
+
+    name = "da+dw"
+
+    def __init__(self, instance: Instance, root: int):
+        super().__init__(instance, root)
+        self._terminals = (*self.index.order, root)  # by bit position
+        self._root_bit = self.index.full_mask + 1
+        self._da_tables = 0
+        self._subsets: dict[int, list[int]] = {}
+
+    def _tables(self, mask: int) -> tuple[int, list[int]]:
+        entry = self._cache.get(mask)
+        if entry is None:
+            if (
+                EXACT_AFTER * self._da_tables > self.index.full_mask
+                and mask.bit_count() <= EXACT_TERMINAL_CAP
+            ):
+                entry = self._cache[mask] = (0, self._subset(mask | self._root_bit))
+            else:
+                entry = super()._tables(mask)
+                self._da_tables += 1
+        return entry
+
+    def _subset(self, key: int) -> list[int]:
+        """S(X) for the terminals X of ``key``, built on first use."""
+        row = self._subsets.get(key)
+        if row is not None:
+            return row
+        if self.deadline is not None:
+            check_deadline(self.deadline)
+        net = self.instance.network
+        low = key & -key
+        if key == low:
+            row = [net.total_cost + 1] * net.vertex_count
+            lower_distances(net, row, (self._terminals[key.bit_length() - 1],))
+        else:
+            rest = sub = key ^ low
+            splits = []
+            while sub:
+                sub = (sub - 1) & rest
+                a, b = self._subset(low | sub), self._subset(rest ^ sub)
+                splits.append(map(add, a, b))
+            # One min call per vertex over every split.
+            row = list(map(min, *splits) if len(splits) > 1 else splits[0])
+            lower_distances(net, row, None)
+        self._subsets[key] = row
+        return row
+
+
 class OneTreeHeuristic(SteinerHeuristic):
     """Half of (terminal-subset MST cost + two cheapest links from u).
 
@@ -275,7 +352,7 @@ def one_tree_heuristic(instance: Instance, root: int) -> SteinerHeuristic:
 
 def auto_heuristic(instance: Instance, root: int) -> SteinerHeuristic:
     if instance.network.edge_count <= DUAL_ASCENT_EDGE_LIMIT:
-        return DualAscentHeuristic(instance, root)
+        return ExactSubsetHeuristic(instance, root)
     return OneTreeHeuristic(instance, root)
 
 

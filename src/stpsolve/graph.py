@@ -160,7 +160,7 @@ class SteinerTree:
 def lower_distances(
     network: Network,
     dist: list[int],
-    sources: Iterable[int],
+    sources: Optional[Iterable[int]],
     arc_costs: Optional[Sequence[int]] = None,
     stop: Container[int] = (),
 ) -> Optional[int]:
@@ -170,16 +170,21 @@ def lower_distances(
     ``out`` lists; ``arc_costs`` is indexed by arc id and defaults to
     ``arc_cost``.  An entry only ever goes down, so a kept ``dist`` is lowered
     by a second call, and an entry pre-set to -1 is never entered.  With
+    ``sources`` None the start is seeded: every vertex starts at its current
+    ``dist`` entry, as if each were a source with that offset.  With
     positive costs, vertices are settled in (distance, id) order; the first
     one in ``stop`` ends the run and is returned, else None.
     """
     out = network.out
     if arc_costs is None:
         arc_costs = network.arc_cost
-    heap = []
-    for s in sources:
-        dist[s] = 0
-        heap.append((0, s))
+    if sources is None:
+        heap = list(zip(dist, range(network.vertex_count)))
+    else:
+        heap = []
+        for s in sources:
+            dist[s] = 0
+            heap.append((0, s))
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)

@@ -26,7 +26,7 @@ from stpsolve import (
     validate_tree,
     zero_heuristic,
 )
-from stpsolve.bounds import SteinerHeuristic, TerminalIndex
+from stpsolve.bounds import ExactSubsetHeuristic, SteinerHeuristic, TerminalIndex
 from stpsolve import (
     contract_edge,
     simple_reductions,
@@ -154,7 +154,11 @@ def test_criterion_04_admissibility(small_corpus):
     for inst in small_corpus:
         root = min(inst.terminals)
         cache = {}
-        heuristics = (da_heuristic(inst, root), one_tree_heuristic(inst, root))
+        heuristics = (
+            da_heuristic(inst, root),
+            one_tree_heuristic(inst, root),
+            ExactSubsetHeuristic(inst, root),
+        )
         for subset in _root_subsets(inst, root):
             for u in range(inst.network.vertex_count):
                 bound = _sub_optimum(inst, subset | {u}, cache)

@@ -11,12 +11,14 @@ from stpsolve import (
     Network,
     da_heuristic,
     dreyfus_wagner,
+    ds_star,
     dual_ascent,
     local_search,
     one_tree_heuristic,
     rsph,
     select_root,
     shortest_path_distances,
+    solve,
     spread_rsph,
     upper_bound_pipeline,
     validate_tree,
@@ -24,17 +26,22 @@ from stpsolve import (
 )
 from stpsolve import SteinerTree
 from stpsolve.bounds import (
+    ExactSubsetHeuristic,
     _prune_leaves,
     _spread,
     _tree_adjacency,
+    auto_heuristic,
     improving_root_runs,
 )
 from conftest import (
+    SHAPES,
     edge_between,
     family_corpus,
+    hypercube,
     neighbors,
     random_grid,
     random_instance,
+    unit_grid,
 )
 
 
@@ -231,6 +238,97 @@ class TestDualAscentHeuristic:
             da_heuristic(fix_star, 1).eval(0, {2, 3})
 
 
+def subset_members(h, key):
+    """The terminals of an ``ExactSubsetHeuristic`` table key: the non-root
+    terminals of its low bits, the root for the top bit."""
+    members = set(h.index.members(key & h.index.full_mask))
+    return members | {h.root} if key > h.index.full_mask else members
+
+
+class TestExactSubsetHeuristic:
+    def test_subset_tables_are_exact_on_random_instances(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            inst = random_instance(rng, max_n=10, max_t=5)
+            h = ExactSubsetHeuristic(inst, min(inst.terminals))
+            for key in range(1, 2 * h.index.full_mask + 2):
+                row = h._subset(key)
+                terminals = subset_members(h, key)
+                for v in range(inst.network.vertex_count):
+                    assert row[v] == csmt(inst, terminals | {v})
+
+    def test_subset_tables_are_exact_on_hypercubes(self):
+        rng = random.Random(89)
+        cubes = [
+            inst
+            for inst, (build, _) in zip(family_corpus(1), SHAPES)
+            if build is hypercube
+        ]
+        assert len(cubes) == 3
+        for inst in cubes:
+            h = ExactSubsetHeuristic(inst, min(inst.terminals))
+            bits = range(len(h.index.order) + 1)
+            for size in (1, 2, 3, 4, 5, 6):
+                key = sum(1 << b for b in rng.sample(bits, size))
+                row = h._subset(key)
+                terminals = subset_members(h, key)
+                for v in rng.sample(range(inst.network.vertex_count), 3):
+                    assert row[v] == csmt(inst, terminals | {v})
+
+    def test_switch_after_one_eighth_of_the_masks(self):
+        # Eight terminals: 128 complement masks, so the switch comes after
+        # 16 dual-ascent tables, and only for masks of at most 5 terminals.
+        inst = hypercube(random.Random(5), 6, 8, 100, 110, 3)
+        h = ExactSubsetHeuristic(inst, min(inst.terminals))
+        da = da_heuristic(inst, h.root)
+        root_bit = h.index.full_mask + 1
+        for mask in range(16):
+            assert h.eval_mask(h.root, mask) == da.eval_mask(h.root, mask)
+        assert h._da_tables == 16 and not h._subsets
+        for u in range(inst.network.vertex_count):
+            assert h.eval_mask(u, 16) == h._subset(16 | root_bit)[u]
+        assert h._da_tables == 16
+        assert h.eval_mask(h.root, 63) == da.eval_mask(h.root, 63)
+        assert h._da_tables == 17
+
+    def test_grids_that_never_switch_search_as_dual_ascent(self):
+        unswitched = 0
+        for inst, (build, _) in zip(family_corpus(3), 3 * SHAPES):
+            if build is not unit_grid:
+                continue
+            root = min(inst.terminals)
+            exact, da = auto_heuristic(inst, root), da_heuristic(inst, root)
+            cost, tree, stats = ds_star(inst, root, exact)
+            if exact._subsets:
+                continue
+            unswitched += 1
+            da_cost, da_tree, da_stats = ds_star(inst, root, da)
+            stats.wall_time = da_stats.wall_time = 0.0
+            assert (cost, tree, stats) == (da_cost, da_tree, da_stats)
+            assert exact._cache.keys() == da._cache.keys()
+        assert unswitched >= 4
+
+    def test_weighted_hypercubes_switch_and_expand_less(self):
+        for seed in range(3):
+            inst = hypercube(random.Random(seed), 6, 8, 100, 110, 3)
+            root = min(inst.terminals)
+            exact = auto_heuristic(inst, root)
+            cost, _, stats = ds_star(inst, root, exact)
+            da_cost, _, da_stats = ds_star(inst, root, da_heuristic(inst, root))
+            assert exact._subsets
+            assert cost == da_cost
+            assert stats.expansions < da_stats.expansions
+
+    def test_two_solves_report_identical_stats(self):
+        inst = hypercube(random.Random(3), 6, 8, 100, 110, 3)
+        first, second = solve(inst), solve(inst)
+        assert first.stats["heuristic"] == "da+dw"
+        assert first.tree == second.tree
+        for result in (first, second):
+            del result.stats["wall_time"], result.stats["search"]["wall_time"]
+        assert first.stats == second.stats
+
+
 class TestOneTreeHeuristic:
     def test_k4_triple(self, fix_k4):
         h = one_tree_heuristic(fix_k4, 0)
@@ -266,7 +364,11 @@ class TestAdmissibility:
             inst = random_instance(rng, min_n=4, max_n=9, max_t=4, max_cost=15)
             root = min(inst.terminals)
             others = sorted(inst.terminals - {root})
-            hs = [da_heuristic(inst, root), one_tree_heuristic(inst, root)]
+            hs = [
+                da_heuristic(inst, root),
+                one_tree_heuristic(inst, root),
+                ExactSubsetHeuristic(inst, root),
+            ]
             for size in range(len(others) + 1):
                 for combo in itertools.combinations(others, size):
                     subset = frozenset(combo) | {root}

@@ -338,6 +338,48 @@ class TestTimeouts:
                 assert 0 < result.stats["lower_bound"] <= expected
         assert after_a_run >= 60
 
+    def test_timeouts_inside_exact_table_builds(self, monkeypatch):
+        # The search on a weighted 6-cube switches to exact subset tables,
+        # which make most of the solve's deadline checks.  Time runs out at
+        # every ninth check, most often inside a subset table build.
+        inst = hypercube(random.Random(2), 6, 8, 100, 110, 3)
+        expected = optimum(inst)
+        calls = []
+        building = 0
+        real_subset = stpsolve.bounds.ExactSubsetHeuristic._subset
+
+        def subset(self, key):
+            nonlocal building
+            building += 1
+            try:
+                return real_subset(self, key)
+            finally:
+                building -= 1
+
+        def check(deadline):
+            calls.append(building)
+            if len(calls) == stop_at:
+                raise SolveTimeout()
+
+        for module in (stpsolve.solver, stpsolve.reductions, stpsolve.bounds):
+            monkeypatch.setattr(module, "check_deadline", check)
+        monkeypatch.setattr(stpsolve.bounds.ExactSubsetHeuristic, "_subset", subset)
+        in_tables = 0
+        stop_at = 1
+        while True:
+            calls.clear()
+            result = solve(inst, SolveConfig(time_limit=60.0))
+            if result.status == "optimal":
+                assert result.cost == expected
+                break
+            stats = result.stats
+            assert validate_tree(inst, result.tree) == result.cost
+            assert result.cost == stats["upper_bound"]
+            assert stats["lower_bound"] <= expected <= stats["upper_bound"]
+            in_tables += calls[-1] > 0
+            stop_at += 9
+        assert in_tables >= 20
+
     def test_a_past_deadline_stops_the_prune_table(self, monkeypatch):
         # The prune table's rows are one Dijkstra per terminal; with the
         # deadline already past, the search stops before the second row and

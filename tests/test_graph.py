@@ -129,6 +129,26 @@ def reference_directed_distances(network, arc_costs, sources, reverse=False):
     return dist
 
 
+def reference_offset_distances(network, arc_costs, offsets):
+    """Multi-source Dijkstra over arc costs in which source ``s`` starts at
+    ``offsets[s]``: each distance is the least offset plus path cost."""
+    dist = [network.total_cost + 1] * network.vertex_count
+    for s, offset in offsets.items():
+        dist[s] = offset
+    heap = [(d, v) for v, d in offsets.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, a in network.out[u]:
+            nd = d + arc_costs[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
 def reference_banned_dijkstra(network, source, banned=None):
     """Copy of the former ``_Working.dijkstra`` on a network: distances of
     the vertices reached from ``source`` without entering ``banned``."""
@@ -208,6 +228,17 @@ class TestLowerDistances:
             once = self.fresh(net)
             lower_distances(net, once, sources + more, arc_costs)
             assert dist == once
+
+    def test_seeded_start_equals_sources_with_offsets(self):
+        # Each vertex starts at its own entry: a multi-source run in which
+        # every vertex is a source that begins at its entry instead of 0.
+        for net, arc_costs, sources, rng in kernel_corpus():
+            dist = self.fresh(net)
+            for s in sources:
+                dist[s] = rng.randint(0, 10)
+            offsets = dict(enumerate(dist))
+            assert lower_distances(net, dist, None, arc_costs) is None
+            assert dist == reference_offset_distances(net, arc_costs, offsets)
 
     def test_stop_returns_the_first_settled_stop_vertex(self):
         hits = 0
