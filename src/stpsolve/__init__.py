@@ -51,10 +51,7 @@ from .reductions import (
     PreprocessResult,
     ReductionLog,
     SolveContext,
-    contract_edge,
-    dual_ascent_elimination,
     run_pipeline,
-    simple_reductions,
     unreduce,
 )
 from .solver import (

@@ -34,7 +34,6 @@ class TerminalIndex:
     """Frozen ordering of the non-root terminals backing the subset bitmasks."""
 
     def __init__(self, terminals: Iterable[int], root: int):
-        self.root = root
         self.order: tuple[int, ...] = tuple(sorted(set(terminals) - {root}))
         self.bit = {z: 1 << i for i, z in enumerate(self.order)}
         self.full_mask = (1 << len(self.order)) - 1
@@ -71,7 +70,6 @@ class DualAscentResult:
     reduced_cost: list[int]
     root_component: frozenset[int]
     root: int
-    terminal_subset: frozenset[int]
 
 
 def dual_ascent(
@@ -147,7 +145,7 @@ def dual_ascent(
             if y not in component and not reduced[a]:
                 component.add(y)
                 stack.append(y)
-    return DualAscentResult(lower, reduced, frozenset(component), root, subset)
+    return DualAscentResult(lower, reduced, frozenset(component), root)
 
 
 class SteinerHeuristic:
@@ -582,23 +580,18 @@ def spread_rsph(
 def upper_bound_pipeline(
     instance: Instance,
     root: int,
-    run: Optional[DualAscentResult] = None,
-    starts: Optional[Sequence[SteinerTree]] = None,
+    run: DualAscentResult,
+    starts: Sequence[SteinerTree],
     deadline: Optional[float] = None,
 ) -> SteinerTree:
-    """Best tree among RSPH runs on the full graph and on the dual-ascent
-    root component, post-processed by local search.
+    """Best tree among the full-graph trees ``starts`` (empty for none) and
+    an RSPH run on the root component of ``run``, the
+    ``dual_ascent(instance, root)`` result, post-processed by local search.
 
-    ``run`` may hand in the ``dual_ascent(instance, root)`` result and
-    ``starts`` the full-graph trees (by default the one ``spread_rsph``
-    returns; empty for none); neither is then recomputed.  Local search is
-    skipped when the best tree already costs ``run.lower_bound``: no tree
-    is cheaper, and local search only accepts strict improvements.
+    Local search is skipped when the best tree already costs
+    ``run.lower_bound``: no tree is cheaper, and local search only accepts
+    strict improvements.
     """
-    if run is None:
-        run = dual_ascent(instance, root)
-    if starts is None:
-        starts = (spread_rsph(instance, deadline),)
     check_deadline(deadline)
     best = rsph(instance, run.root_component, root)
     if starts:

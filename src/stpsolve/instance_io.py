@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graph import InputError, Instance, Network, SteinerTree
 
@@ -47,7 +47,6 @@ class ParsedInstance:
     instance: Instance
     labels: tuple[int, ...]  # internal id -> original label
     label_to_id: dict[int, int]
-    source_format: str
 
 
 def _rows(text: str):
@@ -86,7 +85,7 @@ def _fields(row: list[str], *whats: str) -> tuple[int, ...]:
     return tuple(_field(row, i, what) for i, what in enumerate(whats, 1))
 
 
-def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
+def _parse_sections(rows: list[list[str]]) -> ParsedInstance:
     node_count = None
     declared_edges = None
     declared_terminals = None
@@ -172,13 +171,12 @@ def _parse_sections(rows: list[list[str]], fmt: str) -> ParsedInstance:
         if not 1 <= t <= node_count:
             raise VertexOutOfRange(f"terminal {t} outside 1..{node_count}")
 
-    return _build(edge_lines, terminal_lines, fmt)
+    return _build(edge_lines, terminal_lines)
 
 
 def _build(
     edge_lines: Sequence[tuple[int, int, int]],
     terminal_lines: Sequence[int],
-    fmt: str,
 ) -> ParsedInstance:
     # Restrict to the component containing the terminals; reject instances
     # whose terminals do not share one component.  Ids are dense over the
@@ -203,10 +201,10 @@ def _build(
     if not all(seen[label_to_id[t]] for t in terminals):
         raise InputError("terminals are not connected to each other")
     if not all(seen):  # the same again without the other components
-        return _build([e for e in links if seen[label_to_id[e[0]]]], terminals, fmt)
+        return _build([e for e in links if seen[label_to_id[e[0]]]], terminals)
     network = Network(len(labels), edges)
     instance = Instance(network, frozenset(label_to_id[t] for t in terminals))
-    return ParsedInstance(instance, tuple(labels), label_to_id, fmt)
+    return ParsedInstance(instance, tuple(labels), label_to_id)
 
 
 def parse_stp(text: str) -> ParsedInstance:
@@ -214,21 +212,24 @@ def parse_stp(text: str) -> ParsedInstance:
     rows = _tokenize(text)
     if not rows or not rows[0][0].lower().startswith(STP_MAGIC):
         raise MissingHeader("not an STP file: magic header missing")
-    return _parse_sections(rows[1:], "stp")
+    return _parse_sections(rows[1:])
 
 
 def parse_gr(text: str) -> ParsedInstance:
     """Parse a challenge-style .gr file."""
-    rows = _tokenize(text)
-    return _parse_sections(rows, "gr")
+    return _parse_sections(_tokenize(text))
 
 
 def detect_format(text: str) -> str:
-    """Classify instance text as 'stp' or 'gr' by its first meaningful line."""
+    """Classify instance text as 'stp' or 'gr' by its first meaningful line;
+    ``c`` comment lines are skipped, as the parser skips them."""
     for row in _rows(text):
-        if row[0].lower().startswith(STP_MAGIC):
+        head = row[0].lower()
+        if head == "c":
+            continue
+        if head.startswith(STP_MAGIC):
             return "stp"
-        if row[0].lower() == "section":
+        if head == "section":
             return "gr"
         break
     raise FormatError("unrecognized instance format")
@@ -265,13 +266,10 @@ def write_solution(tree: SteinerTree, network: Network, labels: Sequence[int]) -
     return "\n".join(lines) + "\n"
 
 
-def write_instance(
-    instance: Instance, labels: Optional[Sequence[int]] = None, fmt: str = "gr"
-) -> str:
-    """Render an instance back to file text (test support and debug dumps)."""
+def write_instance(instance: Instance, fmt: str = "gr") -> str:
+    """Render an instance back to file text with 1-based labels (test
+    support and debug dumps)."""
     net = instance.network
-    if labels is None:
-        labels = tuple(i + 1 for i in range(net.vertex_count))
     out = []
     if fmt == "stp":
         out.append("33D32945 STP File, STP Format Version 1.0")
@@ -281,13 +279,13 @@ def write_instance(
     out.append(f"Nodes {net.vertex_count}")
     out.append(f"Edges {len(net.edges)}")
     for u, v, w in net.edges:
-        out.append(f"E {labels[u]} {labels[v]} {w}")
+        out.append(f"E {u + 1} {v + 1} {w}")
     out.append("END")
     out.append("")
     out.append("SECTION Terminals")
     out.append(f"Terminals {len(instance.terminals)}")
-    for t in sorted(instance.terminals, key=lambda x: labels[x]):
-        out.append(f"T {labels[t]}")
+    for t in sorted(instance.terminals):
+        out.append(f"T {t + 1}")
     out.append("END")
     out.append("")
     out.append("EOF")

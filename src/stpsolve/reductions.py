@@ -43,7 +43,6 @@ class ReductionLog:
 
 @dataclass
 class PreprocessResult:
-    original: Instance
     reduced: Instance
     log: ReductionLog
     offset: int
@@ -335,51 +334,41 @@ class _Working:
         ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + self.offset)
         self.run = run
 
-    def dual_ascent_elimination(
-        self, upper_bound: Optional[int] = None, deadline: Optional[float] = None
-    ) -> int:
+    def dual_ascent_elimination(self, deadline: Optional[float] = None) -> int:
         """Delete vertices and edges whose dual-ascent bound exceeds the
         upper bound.
 
-        Without ``upper_bound`` the bound is the context's incumbent,
-        improved by the upper-bound pipeline on the snapshot, whose local
-        search starts from the RSPH tree in the root run's component; the
-        context keeps the cheaper of that tree and the incumbent.  A round
-        whose context has a root runs one dual ascent from it.  Otherwise
-        the round runs dual ascent from the first root (the smallest
-        terminal) and the pipeline with that run.  The first round
-        eliminates with that run and leaves the root unpicked, because on
-        the unreduced graph other roots and RSPH starts cost more than
-        they add.  The next round, the hunting round, picks the root on the
-        graph the first round shrank.  It first offers the best spread RSPH
-        start and hands it to the pipeline.  While the bounds are apart it
-        runs the other roots, which stop at a bound that meets the improved
-        incumbent, and it keeps the run the full loop over the roots would
-        pick: no run beats a bound that meets an upper bound.  A first
-        round that deletes nothing goes on as the hunting round on its own
-        snapshot and run, which is the graph and run the next round would
-        make again.  With ``upper_bound`` the root runs stop at it, the
-        best picks the root and no pipeline runs.  When the bounds meet the
-        incumbent is optimal, the round's run picks the root, and the round
-        deletes nothing.
+        The bound is the context's incumbent, improved by the upper-bound
+        pipeline on the snapshot, whose local search starts from the RSPH
+        tree in the root run's component; the context keeps the cheaper of
+        that tree and the incumbent.  A round whose context has a root runs
+        one dual ascent from it.  Otherwise the round runs dual ascent from
+        the first root (the smallest terminal) and the pipeline with that
+        run.  The first round eliminates with that run and leaves the root
+        unpicked, because on the unreduced graph other roots and RSPH starts
+        cost more than they add.  The next round, the hunting round, picks
+        the root on the graph the first round shrank.  It first offers the
+        best spread RSPH start and hands it to the pipeline.  While the
+        bounds are apart it runs the other roots, which stop at a bound that
+        meets the improved incumbent, and it keeps the run the full loop
+        over the roots would pick: no run beats a bound that meets an upper
+        bound.  A first round that deletes nothing goes on as the hunting
+        round on its own snapshot and run, which is the graph and run the
+        next round would make again.  When the bounds meet the incumbent is
+        optimal, the round's run picks the root, and the round deletes
+        nothing.
         """
         if len(self.terminals) <= 1:
             return 0
         inst, order, prov = self.snapshot()
         ctx = self.context
         if ctx.root is not None:
-            runs = [_bounds.dual_ascent(inst, order.index(self.survivor(ctx.root)))]
-        elif upper_bound is not None:
-            runs = _bounds.improving_root_runs(inst, upper_bound, deadline)
+            run = _bounds.dual_ascent(inst, order.index(self.survivor(ctx.root)))
         else:
             check_deadline(deadline)
-            runs = [_bounds.dual_ascent(inst, min(inst.terminals))]
+            run = _bounds.dual_ascent(inst, min(inst.terminals))
         hunt = ctx.root is None and self.run is not None
-        for run in runs:  # a timeout in root selection keeps the best bound
-            self._adopt(run)
-        if upper_bound is not None:
-            ctx.root = order[run.root]
-            return self._eliminate(inst, order, run, upper_bound)
+        self._adopt(run)
         while True:
             starts = ()
             if hunt:
@@ -387,7 +376,7 @@ class _Working:
                 self.offer(starts[0], prov)
             tree = _bounds.upper_bound_pipeline(inst, run.root, run, starts, deadline)
             self.offer(tree, prov)
-            if hunt and not ctx.proven:
+            if hunt and not ctx.proven:  # a timeout keeps the best bound
                 stop_at = ctx.upper_bound - self.offset
                 for run in _bounds.improving_root_runs(inst, stop_at, deadline, run):
                     self._adopt(run)
@@ -457,7 +446,6 @@ class _Working:
             for v in range(self.instance.network.vertex_count)
         }
         return PreprocessResult(
-            original=self.instance,
             reduced=reduced,
             log=log,
             offset=self.offset,
@@ -465,35 +453,6 @@ class _Working:
             vertex_image=image,
             changed=changed,
         )
-
-
-# -- public operation drivers ---------------------------------------------
-
-
-def _driver(instance: Instance, name: str, op) -> PreprocessResult:
-    w = _Working(instance)
-    changed = op(w)
-    return w.finalize({name: {"changed": changed}}, changed)
-
-
-def contract_edge(instance: Instance, edge: tuple[int, int]) -> PreprocessResult:
-    u, v = edge
-
-    def op(w: _Working) -> int:
-        w.contract_edge_pair(u, v)
-        return 1
-
-    return _driver(instance, "contract", op)
-
-
-def simple_reductions(instance: Instance) -> PreprocessResult:
-    return _driver(instance, "simple", lambda w: w.simple_fixpoint())
-
-
-def dual_ascent_elimination(instance: Instance, upper_bound: int) -> PreprocessResult:
-    return _driver(
-        instance, "dual_ascent_bounds", lambda w: w.dual_ascent_elimination(upper_bound)
-    )
 
 
 def identity_preprocess(instance: Instance) -> PreprocessResult:
@@ -506,7 +465,7 @@ def identity_preprocess(instance: Instance) -> PreprocessResult:
     )
     image = {v: v for v in range(instance.network.vertex_count)}
     stats = {name: {"changed": 0} for name in REDUCTION_OPS}
-    return PreprocessResult(instance, instance, log, 0, stats, image, 0)
+    return PreprocessResult(instance, log, 0, stats, image, 0)
 
 
 # Every operation's ``changed`` key.  The schedule runs only ``simple`` and

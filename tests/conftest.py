@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from stpsolve import Instance, Network, dreyfus_wagner
+from stpsolve import Instance, Network, dreyfus_wagner, select_root
+from stpsolve.reductions import _Working
 
 # Fixture vertex ids, used throughout the tests.
 # path:    v1=0, v2=1, v3=2
@@ -255,6 +256,33 @@ def reduction_corpus():
     """200 instances for the reduction safety gates."""
     rng = random.Random(REDUCTION_CORPUS_SEED)
     return [random_instance(rng) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def reduction_grids():
+    """100 grids with tied costs for the reduction safety gates: unlike the
+    random instances, some keep enough terminals and slack after the simple
+    reductions for the default pipeline's elimination rounds to delete."""
+    rng = random.Random(REDUCTION_CORPUS_SEED)
+    return [random_grid(rng) for _ in range(100)]
+
+
+def simplified(inst):
+    """The simple reductions run to their fixpoint on ``inst``, finalized
+    as a solve finalizes its reductions."""
+    w = _Working(inst)
+    changed = w.simple_fixpoint()
+    return w.finalize({"simple": {"changed": changed}}, changed)
+
+
+def eliminate_at(inst, bound):
+    """Dual-ascent elimination of ``inst`` at the upper bound ``bound``, by
+    the run ``select_root`` picks on the snapshot, through the reduction
+    state a solve runs."""
+    w = _Working(inst)
+    snapshot, order, _ = w.snapshot()
+    changed = w._eliminate(snapshot, order, select_root(snapshot), bound)
+    return w.finalize({"dual_ascent_bounds": {"changed": changed}}, changed)
 
 
 def brute_force_smt(instance):

@@ -430,28 +430,33 @@ class TestLocalSearch:
             assert opt <= out.cost <= start.cost
 
 
+def hunting_upper_bound(inst, run):
+    """The pipeline as the hunting round calls it: with the root run ``run``
+    and the spread RSPH start."""
+    return upper_bound_pipeline(inst, run.root, run, (spread_rsph(inst),))
+
+
 class TestUpperBoundPipeline:
     def test_fixture_optima(self, fix_star, fix_k4):
-        assert upper_bound_pipeline(fix_star, 1).cost == 9
-        assert upper_bound_pipeline(fix_k4, 0).cost == 27
+        assert hunting_upper_bound(fix_star, dual_ascent(fix_star, 1)).cost == 9
+        assert hunting_upper_bound(fix_k4, dual_ascent(fix_k4, 0)).cost == 27
 
     def test_feasible_and_above_optimum(self):
         rng = random.Random(61)
         for _ in range(15):
             inst = random_instance(rng)
             root = min(inst.terminals)
-            tree = upper_bound_pipeline(inst, root)
+            tree = hunting_upper_bound(inst, dual_ascent(inst, root))
             assert validate_tree(inst, tree) == tree.cost
             assert tree.cost >= dreyfus_wagner(inst, root)[0]
-
 
     def test_reused_run_gives_the_same_tree(self):
         rng = random.Random(62)
         for _ in range(10):
             inst = random_instance(rng)
             run = select_root(inst)
-            reused = upper_bound_pipeline(inst, run.root, run)
-            assert reused == upper_bound_pipeline(inst, run.root)
+            fresh = dual_ascent(inst, run.root)
+            assert hunting_upper_bound(inst, run) == hunting_upper_bound(inst, fresh)
 
 
 class TestLocalSearchSkip:
@@ -471,7 +476,7 @@ class TestLocalSearchSkip:
             inst = random_grid(rng)
             run = select_root(inst)
             calls.clear()
-            tree = upper_bound_pipeline(inst, run.root, run)
+            tree = hunting_upper_bound(inst, run)
             if not calls:
                 skipped += 1
                 assert tree.cost == run.lower_bound
@@ -507,7 +512,7 @@ class TestBestRootRunStop:
             calls.clear()
             full = last_improving_run(inst)
             full_runs = len(calls)
-            upper = upper_bound_pipeline(inst, full.root, full).cost
+            upper = hunting_upper_bound(inst, full).cost
             for stop_at in {full.lower_bound, full.lower_bound + 1, upper}:
                 calls.clear()
                 assert last_improving_run(inst, stop_at) == full
@@ -749,10 +754,8 @@ class TestIncrementalUpperBounds:
         for tree in spread:  # a start stops once it costs the bound
             assert rsph(inst, None, tree.root, tree.cost) is None
             assert rsph(inst, None, tree.root, tree.cost + 1) == tree
-        want = reference_pipeline(inst, run).edges
-        assert upper_bound_pipeline(inst, run.root, run).edges == want
-        starts = (spread_rsph(inst),)
-        assert upper_bound_pipeline(inst, run.root, run, starts).edges == want
+        want = reference_pipeline(inst, run)
+        assert hunting_upper_bound(inst, run).edges == want.edges
 
     def test_random_instances(self):
         rng = random.Random(131)

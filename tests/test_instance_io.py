@@ -210,11 +210,31 @@ class TestIntegerFields:
         assert signed.terminals == frozenset({0, 2})
 
 
+def same_parse(a, b):
+    """Whether two parses give the same edges, terminals and labels."""
+    return (
+        a.instance.network.edges == b.instance.network.edges
+        and a.instance.terminals == b.instance.terminals
+        and a.labels == b.labels
+    )
+
+
 class TestDetectFormat:
     def test_detects_both(self):
         assert detect_format(PATH_STP) == "stp"
         assert detect_format(STAR_GR) == "gr"
-        assert parse_instance(PATH_STP).source_format == "stp"
+        assert same_parse(parse_instance(PATH_STP), parse_stp(PATH_STP))
+        assert same_parse(parse_instance(STAR_GR), parse_gr(STAR_GR))
+
+    def test_comment_lines_before_a_gr_file_are_skipped(self):
+        text = "c toy instance\nC another\n" + STAR_GR
+        assert detect_format(text) == "gr"
+        assert same_parse(parse_instance(text), parse_gr(STAR_GR))
+
+    def test_a_comment_line_before_the_stp_magic_is_rejected(self):
+        # STP files start with the magic; the parser checks that first row.
+        with pytest.raises(FormatError):
+            parse_instance("c toy instance\n" + PATH_STP)
 
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):
@@ -225,10 +245,7 @@ class TestDetectFormat:
     def test_one_byte_order_mark_is_skipped(self, text, as_bytes):
         marked = "\ufeff" + text
         parsed = parse_instance(marked.encode("utf-8") if as_bytes else marked)
-        plain = parse_instance(text)
-        assert parsed.instance.network.edges == plain.instance.network.edges
-        assert parsed.instance.terminals == plain.instance.terminals
-        assert parsed.source_format == plain.source_format
+        assert same_parse(parsed, parse_instance(text))
         with pytest.raises(FormatError):
             parse_instance("\ufeff" + marked)
 

@@ -9,20 +9,26 @@ from stpsolve import (
     Network,
     SolveContext,
     SteinerTree,
-    contract_edge,
     dreyfus_wagner,
     dual_ascent,
-    dual_ascent_elimination,
     run_pipeline,
     select_root,
-    simple_reductions,
     solve,
+    spread_rsph,
     unreduce,
     upper_bound_pipeline,
     validate_tree,
 )
 from stpsolve.reductions import _Working
-from conftest import family_corpus, random_grid, random_instance
+from conftest import (
+    eliminate_at,
+    family_corpus,
+    hypercube,
+    make_k4,
+    random_grid,
+    random_instance,
+    simplified,
+)
 
 
 def reduced_optimum(pre):
@@ -31,50 +37,74 @@ def reduced_optimum(pre):
     return dreyfus_wagner(pre.reduced, min(pre.reduced.terminals))[0]
 
 
+def contracted(inst, a, b):
+    """``inst`` with the edge {a, b} contracted, finalized."""
+    w = _Working(inst)
+    w.contract_edge_pair(a, b)
+    return w.finalize({}, 1)
+
+
 class TestContractEdge:
     def test_path_first_edge(self, fix_path):
-        pre = contract_edge(fix_path, (0, 1))
+        pre = contracted(fix_path, 0, 1)
         assert pre.offset == 2
         assert pre.reduced.network.vertex_count == 2
         assert len(pre.reduced.terminals) == 2  # survivor inherits terminal status
 
     def test_terminal_terminal_merges(self, fix_k4):
-        pre = contract_edge(fix_k4, (0, 1))
+        pre = contracted(fix_k4, 0, 1)
         assert len(pre.reduced.terminals) == 3
         assert pre.offset == 1
 
     def test_collision_keeps_cheaper_parallel(self):
         net = Network(3, [(0, 1, 1), (1, 2, 5), (0, 2, 2)])
         inst = Instance(net, frozenset({0, 2}))
-        pre = contract_edge(inst, (0, 1))
+        pre = contracted(inst, 0, 1)
         # merging 0 into 1 leaves a single {merged, 2} edge of cost 2
         assert pre.reduced.network.edges == ((0, 1, 2),)
 
+    def test_the_non_terminal_end_or_else_the_smaller_id_survives(self, fix_path):
+        # The survivor keeps its working id and becomes a terminal; the
+        # absorbed end is gone and maps to it.
+        line = Instance(Network(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), {0, 3})
+        cases = [
+            (fix_path, 0, 1, 1),  # terminal 0, non-terminal 1
+            (fix_path, 1, 0, 1),
+            (make_k4(), 1, 0, 0),  # two terminals
+            (line, 2, 1, 1),  # two non-terminals
+        ]
+        for inst, a, b, want in cases:
+            w = _Working(inst)
+            assert w.contract_edge_pair(a, b) == want
+            assert w.survivor(a) == w.survivor(b) == want
+            assert want in w.terminals
+            assert w.alive == set(range(inst.network.vertex_count)) - {a + b - want}
+
     def test_missing_edge_rejected(self, fix_path):
         with pytest.raises(InputError):
-            contract_edge(fix_path, (0, 2))
+            _Working(fix_path).contract_edge_pair(0, 2)
 
 
 class TestSimpleReductions:
     def test_diamond_solved_outright(self, fix_diamond):
-        pre = simple_reductions(fix_diamond)
+        pre = simplified(fix_diamond)
         assert len(pre.reduced.terminals) == 1
         assert pre.offset == 2
 
     def test_path_fully_contracted(self, fix_path):
-        pre = simple_reductions(fix_path)
+        pre = simplified(fix_path)
         assert pre.offset == 5
         assert pre.reduced.network.vertex_count == 1
 
     def test_star_contracts_through_center(self, fix_star):
-        pre = simple_reductions(fix_star)
+        pre = simplified(fix_star)
         assert pre.offset == 9
         assert len(pre.reduced.terminals) == 1
 
 
 class TestDualAscentElimination:
     def test_tight_bound_keeps_star(self, fix_star):
-        pre = dual_ascent_elimination(fix_star, 9)
+        pre = eliminate_at(fix_star, 9)
         assert pre.changed == 0
         assert pre.reduced.network.vertex_count == 4
 
@@ -82,7 +112,7 @@ class TestDualAscentElimination:
         rng = random.Random(67)
         for _ in range(10):
             inst = random_instance(rng)
-            pre = dual_ascent_elimination(inst, inst.network.total_cost)
+            pre = eliminate_at(inst, inst.network.total_cost)
             assert pre.changed == 0
 
     def test_preserves_optimum_with_real_bound(self):
@@ -90,31 +120,47 @@ class TestDualAscentElimination:
         for _ in range(20):
             inst = random_instance(rng)
             opt = dreyfus_wagner(inst, min(inst.terminals))[0]
-            upper = upper_bound_pipeline(inst, select_root(inst).root).cost
-            pre = dual_ascent_elimination(inst, upper)
+            run = select_root(inst)
+            upper = upper_bound_pipeline(inst, run.root, run, (spread_rsph(inst),))
+            pre = eliminate_at(inst, upper.cost)
             assert reduced_optimum(pre) + pre.offset == opt
 
-
-    def test_first_round_picks_the_root_and_later_rounds_keep_it(self):
-        # The first round picks the best root and keeps its run; a later
-        # round runs from the same root.
+    def test_the_picking_round_keeps_the_select_root_run(self):
+        # The first round, or the hunting round after it, picks the root
+        # with the run ``select_root`` makes on that round's snapshot; a
+        # later round runs from the same root.
         rng = random.Random(113)
-        for _ in range(10):
-            inst = random_instance(rng)
+        corpus = [
+            random_grid(rng, 5, 8, costs=(1,), min_t=4, max_t=8) for _ in range(60)
+        ]
+        corpus += [  # spread terminals on near-unit costs leave bounds apart
+            hypercube(rng, 6, 8, 100, 110, 3) for _ in range(10)
+        ]
+        picked = later = 0
+        for inst in corpus:
             ctx = SolveContext()
             w = _Working(inst, ctx)
-            w.dual_ascent_elimination(inst.network.total_cost)
-            pre = w.finalize({}, 0)
-            root = pre.vertex_image[ctx.root]
-            assert root == select_root(pre.reduced).root
-            want = dual_ascent(pre.reduced, root)
-            assert w.run.lower_bound == want.lower_bound
-            assert w.run.reduced_cost == want.reduced_cost
-            assert w.run.root_component == want.root_component
-            assert w.run == want
-            w.dual_ascent_elimination(inst.network.total_cost)  # a later round
-            assert w.finalize({}, 0).vertex_image[ctx.root] == root
-            assert w.run == want
+            w.simple_fixpoint()
+            while ctx.root is None and len(w.terminals) > 1:
+                snapshot, order, _ = w.snapshot()
+                w.dual_ascent_elimination()
+                w.simple_fixpoint()
+            if ctx.root is None:
+                continue
+            picked += 1
+            best = select_root(snapshot)
+            assert ctx.root == order[best.root]
+            assert w.run == best
+            root = w.survivor(ctx.root)
+            if ctx.proven or len(w.terminals) <= 1:
+                continue
+            later += 1
+            snapshot, order, _ = w.snapshot()
+            w.dual_ascent_elimination()  # a later round
+            assert w.survivor(ctx.root) == root
+            assert w.run == dual_ascent(snapshot, order.index(root))
+        assert picked >= 60
+        assert later >= 10
 
 
 class TestPipeline:
@@ -137,7 +183,7 @@ class TestPipeline:
 
     def test_monotone_shrinkage_per_operation(self, reduction_corpus):
         for inst in reduction_corpus[:60]:
-            pre = simple_reductions(inst)
+            pre = simplified(inst)
             assert pre.reduced.network.vertex_count <= inst.network.vertex_count
             assert pre.reduced.network.edge_count <= inst.network.edge_count
 
@@ -260,7 +306,7 @@ class TestUnreduce:
         # bring back both original edges
         net = Network(3, [(0, 1, 4), (1, 2, 5)])
         inst = Instance(net, frozenset({0, 2}))
-        pre = simple_reductions(inst)
+        pre = simplified(inst)
         trivial = SteinerTree(frozenset(), min(pre.reduced.terminals), 0)
         tree = unreduce(trivial, pre.log)
         assert validate_tree(inst, tree) == 9

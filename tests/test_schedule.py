@@ -9,13 +9,12 @@ import random
 from stpsolve import (
     SolveConfig,
     dreyfus_wagner,
-    dual_ascent_elimination,
     solve,
     unreduce,
     validate_tree,
 )
 from stpsolve.reductions import REDUCTION_OPS
-from conftest import family_corpus, random_grid, random_instance
+from conftest import eliminate_at, family_corpus, random_grid, random_instance
 
 DEFAULT_OPS = ("simple", "dual_ascent_bounds")
 
@@ -35,7 +34,7 @@ def check_default_solve(inst):
     an optimal tree.  Returns the solve's per-operation counters and
     whether it searched."""
     expected = dreyfus_wagner(inst, min(inst.terminals))[0]
-    pre = dual_ascent_elimination(inst, expected)
+    pre = eliminate_at(inst, expected)
     reduced = pre.reduced
     if len(reduced.terminals) > 1:
         kept = solve(reduced, SolveConfig(preprocess=False))
