@@ -170,33 +170,51 @@ def lower_distances(
     ``out`` lists; ``arc_costs`` is indexed by arc id and defaults to
     ``arc_cost``.  An entry only ever goes down, so a kept ``dist`` is lowered
     by a second call, and an entry pre-set to -1 is never entered.  With
-    ``sources`` None the start is seeded: every vertex starts at its current
-    ``dist`` entry, as if each were a source with that offset.  With
-    positive costs, vertices are settled in (distance, id) order; the first
-    one in ``stop`` ends the run and is returned, else None.
+    ``sources`` None the start is seeded: every vertex with an entry of 0 or
+    more starts at it, as if each were a source with that offset.  The
+    first vertex of ``stop`` settled ends the run and is returned, else None;
+    with positive costs, a ``stop`` run settles in (distance, id) order.
+
+    The queue is Dial's: a list of vertices per tentative distance and a
+    heap of the distinct distances, so a relaxation to a queued distance is
+    one append.  Reduced costs are mostly 0 or small: few are distinct.
     """
     out = network.out
     if arc_costs is None:
         arc_costs = network.arc_cost
+    buckets: dict[int, list[int]] = {}
     if sources is None:
-        heap = list(zip(dist, range(network.vertex_count)))
+        for v, d in enumerate(dist):
+            if d >= 0:
+                buckets.setdefault(d, []).append(v)
     else:
-        heap = []
-        for s in sources:
+        starts = buckets[0] = list(sources)
+        for s in starts:
             dist[s] = 0
-            heap.append((0, s))
+    heap = list(buckets)
     heapq.heapify(heap)
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        if u in stop:
-            return u
-        for v, a in out[u]:
-            nd = d + arc_costs[a]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+        d = heapq.heappop(heap)
+        bucket = buckets[d]
+        if stop:
+            bucket.sort()
+        # A zero-cost arc appends to this very bucket; the loop sees it.  A
+        # vertex is queued only on a strict decrease, so this ends.
+        for u in bucket:
+            if dist[u] < d:
+                continue
+            if u in stop:
+                return u
+            for v, a in out[u]:
+                nd = d + arc_costs[a]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    if nd in buckets:
+                        buckets[nd].append(v)
+                    else:
+                        buckets[nd] = [v]
+                        heapq.heappush(heap, nd)
+        del buckets[d]
     return None
 
 
@@ -204,9 +222,9 @@ def tight_path(network: Network, dist: Sequence[int], x: int) -> list[tuple[int,
     """Walk from ``x`` back to a vertex at distance 0 under edge costs.
 
     Each step goes to the tight neighbor (``dist[y] + cost == dist[x]``)
-    with the smallest (distance, id): the vertex that settled ``x`` in a
-    ``lower_distances`` run.  Returns the steps as (vertex, edge id) pairs,
-    ``x`` first; the final vertex at distance 0 is not listed.
+    with the smallest (distance, id): the vertex that settles ``x`` when
+    vertices settle in (distance, id) order.  Returns the steps as (vertex,
+    edge id) pairs, ``x`` first; the final vertex at distance 0 is not listed.
     """
     steps = []
     while dist[x]:

@@ -16,13 +16,20 @@ from stpsolve import (
     shortest_path_distances,
     validate_tree,
 )
+from stpsolve.bounds import dual_ascent
 from stpsolve.graph import (
     lower_distances,
     mst_over_points,
     shortest_path_edges,
     tight_path,
 )
-from conftest import edge_between, neighbors, random_grid, random_instance
+from conftest import (
+    edge_between,
+    family_corpus,
+    neighbors,
+    random_grid,
+    random_instance,
+)
 
 
 class TestNetwork:
@@ -297,6 +304,120 @@ class TestLowerDistances:
                     want.append((y, eid))
                     y = u
                 assert tight_path(net, dist, x) == want
+
+    def test_barrier_holds_in_a_seeded_start(self):
+        net = Network(3, [(0, 1, 5), (1, 2, 5)])
+        dist = [0, -1, 99]
+        assert lower_distances(net, dist, None) is None
+        assert dist == [0, -1, 99]
+        for net, arc_costs, sources, rng in kernel_corpus():
+            if net.vertex_count < 2:
+                continue
+            banned = rng.choice([v for v in range(net.vertex_count) if v != sources[0]])
+            dist = self.fresh(net)
+            for s in sources:
+                dist[s] = rng.randint(0, 10)
+            dist[banned] = -1
+            offsets = {v: d for v, d in enumerate(dist) if v != banned}
+            # Arcs at the banned vertex cost more than any path around it.
+            walled = [
+                10 * net.total_cost if banned in (net.tail[a], net.tail[a ^ 1]) else c
+                for a, c in enumerate(arc_costs)
+            ]
+            want = reference_offset_distances(net, walled, offsets)
+            lower_distances(net, dist, None, arc_costs)
+            assert dist[banned] == -1
+            assert all(dist[v] == want[v] for v in offsets)
+
+    def test_zero_cost_chains_and_cycles(self):
+        # Zero arcs append to the bucket being scanned, here against id order.
+        n = 12
+        chain = [(v, v + 1, 1) for v in range(n - 1)] + [(0, n - 1, 1), (3, 8, 2)]
+        net = Network(n, chain)
+        for zero_share in (1.0, 0.8, 0.5):
+            rng = random.Random(f"zero {zero_share}")
+            for _ in range(20):
+                arc_costs = [0 if rng.random() < zero_share else c for c in net.arc_cost]
+                sources = rng.sample(range(n), rng.randint(1, 2))
+                dist = self.fresh(net)
+                assert lower_distances(net, dist, sources, arc_costs) is None
+                assert dist == reference_directed_distances(net, arc_costs, sources)
+                dist = self.fresh(net)
+                for v in rng.sample(range(n), 3):
+                    dist[v] = rng.randint(0, 3)
+                offsets = dict(enumerate(dist))
+                lower_distances(net, dist, None, arc_costs)
+                assert dist == reference_offset_distances(net, arc_costs, offsets)
+
+    def test_seeded_start_with_many_equal_entries(self):
+        for net, arc_costs, sources, rng in kernel_corpus():
+            shared = rng.randint(0, 5)
+            dist = [
+                shared if rng.random() < 0.7 else rng.randint(0, 9)
+                for _ in range(net.vertex_count)
+            ]
+            offsets = dict(enumerate(dist))
+            lower_distances(net, dist, None, arc_costs)
+            assert dist == reference_offset_distances(net, arc_costs, offsets)
+
+    def test_duplicate_sources(self):
+        for net, arc_costs, sources, rng in kernel_corpus():
+            repeated = sources * 3 + sources[:1]
+            rng.shuffle(repeated)
+            dist = self.fresh(net)
+            assert lower_distances(net, dist, repeated, arc_costs) is None
+            assert dist == reference_directed_distances(net, arc_costs, sources)
+            full = reference_directed_distances(net, net.arc_cost, sources)
+            stop = set(rng.sample(range(net.vertex_count), min(2, net.vertex_count)))
+            dist = self.fresh(net)
+            got = lower_distances(net, dist, repeated, stop=stop)
+            assert got == min((full[v], v) for v in stop)[1]
+
+    def test_stop_returns_the_smallest_tied_id_whatever_the_entry_order(self):
+        # 0 settles 1 (at 1) before 2 (at 2); 1 queues 9 at 3 before 2
+        # queues 5 at 3, so the bucket of 3 fills as [9, 5].
+        net = Network(10, [(0, 1, 1), (0, 2, 2), (1, 9, 2), (2, 5, 1)])
+        dist = self.fresh(net)
+        assert lower_distances(net, dist, [0], stop={5, 9}) == 5
+        assert dist[5] == dist[9] == 3
+        # Tied stop vertices on unit grids, reached along many paths.
+        rng = random.Random(31)
+        for _ in range(60):
+            net = random_grid(rng, 3, 7, costs=(1, 2), max_chords=3).network
+            source = rng.randrange(net.vertex_count)
+            full = reference_directed_distances(net, net.arc_cost, [source])
+            level = rng.choice(sorted(set(full) - {0}))
+            stop = {v for v, d in enumerate(full) if d == level}
+            dist = self.fresh(net)
+            assert lower_distances(net, dist, [source], stop=stop) == min(stop)
+
+
+class TestReducedCostKernel:
+    """``lower_distances`` on the reduced costs dual ascent leaves on the
+    bench-family shapes: mostly zero arcs, many equal distances."""
+
+    def test_matches_the_heap_references(self):
+        runs = 0
+        for inst in family_corpus(2):
+            root = min(inst.terminals)
+            arc_costs = dual_ascent(inst, root).reduced_cost
+            net = inst.network
+            fresh = [net.total_cost + 1] * net.vertex_count
+            rows = {}
+            for t in sorted(inst.terminals):
+                dist = list(fresh)
+                lower_distances(net, dist, (t,), arc_costs)
+                assert dist == reference_directed_distances(net, arc_costs, [t])
+                rows[t] = dist
+            terms = sorted(inst.terminals)
+            for a, b in zip(terms, terms[1:]):
+                # Seeded as an exact subset table starts: a sum of two rows.
+                dist = [x + y for x, y in zip(rows[a], rows[b])]
+                offsets = dict(enumerate(dist))
+                lower_distances(net, dist, None, arc_costs)
+                assert dist == reference_offset_distances(net, arc_costs, offsets)
+                runs += 1
+        assert runs >= 100
 
 
 class TestShortestPathEdges:
