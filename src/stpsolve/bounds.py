@@ -9,6 +9,7 @@ Upper bounds: the repeated shortest path heuristic plus local search.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
@@ -17,6 +18,7 @@ from .graph import (
     InputError,
     Instance,
     Network,
+    SolveTimeout,
     SteinerTree,
     check_deadline,
     lower_distances,
@@ -24,11 +26,6 @@ from .graph import (
     shortest_path_distances,
     tight_path,
 )
-
-# Auto-selection: dual ascent pays off on small graphs, the cheaper 1-tree
-# bound takes over on larger ones.
-DUAL_ASCENT_EDGE_LIMIT = 10_000
-
 
 class TerminalIndex:
     """Frozen ordering of the non-root terminals backing the subset bitmasks."""
@@ -73,7 +70,10 @@ class DualAscentResult:
 
 
 def dual_ascent(
-    instance: Instance, root: int, terminal_subset: Optional[Iterable[int]] = None
+    instance: Instance,
+    root: int,
+    terminal_subset: Optional[Iterable[int]] = None,
+    deadline: Optional[float] = None,
 ) -> DualAscentResult:
     """Greedy feasible dual of the directed cut relaxation (Wong, 1984).
 
@@ -84,6 +84,8 @@ def dual_ascent(
     terminal grows its cut through entering arcs that reached zero, and is
     pushed back when its frontier grew past the current minimum.  The sum of
     payments is a lower bound on the cost of any tree spanning the subset.
+    A set ``deadline`` is checked at every pop; a run past it raises
+    ``SolveTimeout`` and leaves nothing behind.
     """
     net = instance.network
     subset = (
@@ -107,6 +109,8 @@ def dual_ascent(
     heapq.heapify(queue)
 
     while queue:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout()
         _, z = heapq.heappop(queue)
         cut, front = cuts[z], fronts[z]
         grown = {tail[a] for a in front if not reduced[a]}
@@ -150,12 +154,19 @@ def dual_ascent(
 
 class SteinerHeuristic:
     """Guiding function: a lower bound on the cost of connecting a vertex
-    with a terminal subset that always contains the search root."""
+    with a terminal subset that always contains the search root.  The search
+    keeps no copy of the values, so a heuristic caches what it builds per
+    subset mask."""
 
     name = "base"
-    root: int
-    index: TerminalIndex
-    deadline: Optional[float] = None  # checked before each table build
+    deadline: Optional[float] = None  # checked while tables are built
+
+    def __init__(self, instance: Instance, root: int):
+        if root not in instance.terminals:
+            raise InputError("root must be a terminal")
+        self.instance = instance
+        self.root = root
+        self.index = TerminalIndex(instance.terminals, root)
 
     def eval_mask(self, u: int, mask: int) -> int:
         raise NotImplementedError
@@ -170,12 +181,6 @@ class SteinerHeuristic:
 class ZeroHeuristic(SteinerHeuristic):
     name = "zero"
 
-    def __init__(self, instance: Instance, root: int):
-        if root not in instance.terminals:
-            raise InputError("root must be a terminal")
-        self.root = root
-        self.index = TerminalIndex(instance.terminals, root)
-
     def eval_mask(self, u: int, mask: int) -> int:
         return 0
 
@@ -186,17 +191,14 @@ class DualAscentHeuristic(SteinerHeuristic):
     The value for (u, J) is the subset's dual-ascent bound plus the shortest
     root-to-u distance under the subset's reduced arc costs: any tree
     spanning J together with u pays at least that much.  Admissible but not
-    consistent.  A set ``deadline`` is checked before every table build.
+    consistent.  A set ``deadline`` is checked before every table build and
+    inside its dual-ascent run.
     """
 
     name = "da"
 
     def __init__(self, instance: Instance, root: int):
-        if root not in instance.terminals:
-            raise InputError("root must be a terminal")
-        self.instance = instance
-        self.root = root
-        self.index = TerminalIndex(instance.terminals, root)
+        super().__init__(instance, root)
         self._cache: dict[int, tuple[int, list[int]]] = {}
 
     def _tables(self, mask: int) -> tuple[int, list[int]]:
@@ -205,7 +207,7 @@ class DualAscentHeuristic(SteinerHeuristic):
             if self.deadline is not None:
                 check_deadline(self.deadline)
             subset = frozenset(self.index.members(mask)) | {self.root}
-            run = dual_ascent(self.instance, self.root, subset)
+            run = dual_ascent(self.instance, self.root, subset, deadline=self.deadline)
             net = self.instance.network
             rows = [net.total_cost + 1] * net.vertex_count
             lower_distances(net, rows, (self.root,), run.reduced_cost)
@@ -305,11 +307,7 @@ class OneTreeHeuristic(SteinerHeuristic):
     name = "onetree"
 
     def __init__(self, instance: Instance, root: int):
-        if root not in instance.terminals:
-            raise InputError("root must be a terminal")
-        self.instance = instance
-        self.root = root
-        self.index = TerminalIndex(instance.terminals, root)
+        super().__init__(instance, root)
         net = instance.network
         self.rows: dict[int, list[int]] = {
             z: shortest_path_distances(net, z) for z in sorted(instance.terminals)
@@ -349,9 +347,7 @@ def one_tree_heuristic(instance: Instance, root: int) -> SteinerHeuristic:
 
 
 def auto_heuristic(instance: Instance, root: int) -> SteinerHeuristic:
-    if instance.network.edge_count <= DUAL_ASCENT_EDGE_LIMIT:
-        return ExactSubsetHeuristic(instance, root)
-    return OneTreeHeuristic(instance, root)
+    return ExactSubsetHeuristic(instance, root)
 
 
 def _prune_leaves(network: Network, edges: set[int], keep: frozenset[int]) -> set[int]:
@@ -392,13 +388,15 @@ def rsph(
     within: Optional[Iterable[int]] = None,
     start: Optional[int] = None,
     stop_at: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> Optional[SteinerTree]:
     """Repeated shortest path heuristic: grow a tree from ``start`` by
     repeatedly attaching the terminal nearest to the current tree.  Returns
     a feasible tree, hence an upper bound.  Each attachment adds a path of
     new edges that ends at a terminal, so every leaf is a terminal and the
     cost only grows: with ``stop_at`` the run returns None at the first
-    attachment that brings the cost to ``stop_at`` or more.
+    attachment that brings the cost to ``stop_at`` or more.  A set
+    ``deadline`` is checked before every attachment.
 
     One distance-to-tree list serves every attachment: after a path joins
     the tree, ``lower_distances`` from its new vertices lowers what they
@@ -429,6 +427,8 @@ def rsph(
     remaining = set(terms)
     fresh = [start]
     while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout()
         lower_distances(net, dist, fresh, arc_costs)
         remaining.difference_update(fresh)
         if not remaining:
@@ -507,7 +507,7 @@ def local_search(
 ) -> SteinerTree:
     """Improve a tree by key-path exchange until no exchange lowers the
     cost; the result is a valid tree of cost at most the input cost.
-    ``deadline`` is checked before every pass.
+    ``deadline`` is checked before every exchange it tries.
 
     An exchange drops one path between key vertices and reconnects the two
     parts by a shortest path: ``lower_distances`` from the part holding the
@@ -522,9 +522,9 @@ def local_search(
 
     improved = True
     while improved:
-        check_deadline(deadline)
         improved = False
         for a, b, path in _key_paths(net, best, terms):
+            check_deadline(deadline)
             path_cost = sum(net.cost_of(e) for e in path)
             kept = best - set(path)
             adj_kept = _tree_adjacency(net, kept)
@@ -571,7 +571,8 @@ def spread_rsph(
     best = None
     for s in _spread(sorted(instance.terminals), 16):
         check_deadline(deadline)
-        tree = rsph(instance, None, s, None if best is None else best.cost)
+        stop_at = None if best is None else best.cost
+        tree = rsph(instance, None, s, stop_at, deadline=deadline)
         if tree is not None:
             best = tree
     return best
@@ -593,7 +594,7 @@ def upper_bound_pipeline(
     strict improvements.
     """
     check_deadline(deadline)
-    best = rsph(instance, run.root_component, root)
+    best = rsph(instance, run.root_component, root, deadline=deadline)
     if starts:
         first = min(starts, key=lambda t: t.cost)  # the earliest of the cheapest
         if first.cost <= best.cost:
@@ -622,7 +623,7 @@ def improving_root_runs(
         roots = roots[1:]
     for r in roots:
         check_deadline(deadline)
-        run = dual_ascent(instance, r)
+        run = dual_ascent(instance, r, deadline=deadline)
         if best is None or run.lower_bound > best.lower_bound:
             best = run
             yield run

@@ -363,10 +363,11 @@ class _Working:
         inst, order, prov = self.snapshot()
         ctx = self.context
         if ctx.root is not None:
-            run = _bounds.dual_ascent(inst, order.index(self.survivor(ctx.root)))
+            root = order.index(self.survivor(ctx.root))
         else:
             check_deadline(deadline)
-            run = _bounds.dual_ascent(inst, min(inst.terminals))
+            root = min(inst.terminals)
+        run = _bounds.dual_ascent(inst, root, deadline=deadline)
         hunt = ctx.root is None and self.run is not None
         self._adopt(run)
         while True:
@@ -384,7 +385,8 @@ class _Working:
                 ctx.root = order[run.root]
             if ctx.proven:
                 return 0
-            changed = self._eliminate(inst, order, run, ctx.upper_bound - self.offset)
+            bound = ctx.upper_bound - self.offset
+            changed = self._eliminate(inst, order, run, bound, deadline)
             if changed or ctx.root is not None:
                 return changed
             hunt = True  # the first round deleted nothing: hunt on its snapshot
@@ -395,9 +397,12 @@ class _Working:
         order: list[int],
         run: _bounds.DualAscentResult,
         upper_bound: int,
+        deadline: Optional[float] = None,
     ) -> int:
         """Delete the vertices and edges of the snapshot ``inst`` (working
-        ids ``order``) whose bound from ``run`` exceeds ``upper_bound``."""
+        ids ``order``) whose bound from ``run`` exceeds ``upper_bound``.
+        ``deadline`` is checked between the two Dijkstra runs, before
+        anything is deleted."""
         net = inst.network
         if upper_bound >= net.total_cost:
             return 0  # the total-cost surrogate means "no bound known"
@@ -409,6 +414,7 @@ class _Working:
             return 0
         from_root = [net.total_cost + 1] * net.vertex_count
         lower_distances(net, from_root, (root,), reduced)
+        check_deadline(deadline)
         to_terminal = [net.total_cost + 1] * net.vertex_count
         reversed_costs = [reduced[a ^ 1] for a in range(len(reduced))]
         lower_distances(net, to_terminal, nonroot, reversed_costs)

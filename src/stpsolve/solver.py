@@ -1,7 +1,7 @@
 """The two exact algorithms.
 
 ``dreyfus_wagner`` is the classic dynamic program over all terminal subsets,
-used as the reference oracle and as a fallback for tiny instances.
+kept as the reference oracle; ``solve`` never calls it.
 ``ds_star`` explores (vertex, terminal-subset) states best-first under an
 admissible guiding heuristic; because the heuristic need not be consistent,
 an expanded state whose tentative cost later improves is simply re-expanded.
@@ -173,7 +173,6 @@ class SearchStats:
     insertions: int = 0
     queue_peak: int = 0
     prune_hits: int = 0
-    heuristic_cache_hits: int = 0
     stale_pops: int = 0
     wall_time: float = 0.0
 
@@ -184,7 +183,6 @@ class SearchStats:
             "insertions": self.insertions,
             "queue_peak": self.queue_peak,
             "prune_hits": self.prune_hits,
-            "heuristic_cache_hits": self.heuristic_cache_hits,
             "stale_pops": self.stale_pops,
             "wall_time": round(self.wall_time, 6),
         }
@@ -316,9 +314,9 @@ def ds_star(
     terms = instance.terminals
     if root not in terms:
         raise InputError("search root must be a terminal")
-    if getattr(heuristic, "root", root) != root:
+    if heuristic.root != root:
         raise InputError("heuristic was built for a different root")
-    index = TerminalIndex(terms, root)
+    index = heuristic.index
     if len(index.order) > DS_TERMINAL_CAP:
         raise TooManyTerminals(
             f"{len(index.order) + 1} terminals exceed the mask capacity"
@@ -329,25 +327,18 @@ def ds_star(
         return 0, SteinerTree(frozenset(), root, 0), stats
 
     full = index.full_mask
-    h_memo: dict[tuple[int, int], int] = {}
 
     def timeout() -> SolveTimeout:
         stats.wall_time = time.perf_counter() - start
         return SolveTimeout(stats)
 
     def guide(u: int, mask: int) -> int:
-        key = (u, mask)
-        val = h_memo.get(key)
-        if val is not None:
-            stats.heuristic_cache_hits += 1
-            return val
         try:
             val = heuristic.eval_mask(u, full ^ mask)
-        except SolveTimeout:  # raised before a table build
+        except SolveTimeout:  # raised while building a table
             raise timeout() from None
         if val < 0:
-            raise HeuristicNegative(f"heuristic value {val} at {key}")
-        h_memo[key] = val
+            raise HeuristicNegative(f"heuristic value {val} at {(u, mask)}")
         return val
 
     tentative: dict[tuple[int, int], int] = {}
@@ -539,7 +530,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
                 check_deadline(deadline)
                 # Looked up in ``bounds`` so that a wrapper installed there
                 # (as by stpbench's tracer) counts this run.
-                run = _bounds.dual_ascent(reduced, root)
+                run = _bounds.dual_ascent(reduced, root, deadline=deadline)
             ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + pre.offset)
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
         heuristic.deadline = deadline

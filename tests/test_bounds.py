@@ -2,6 +2,7 @@ import heapq
 import itertools
 import random
 import signal
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from stpsolve import (
     zero_heuristic,
 )
 from stpsolve import SteinerTree
+from stpsolve.graph import SolveTimeout
 from stpsolve.bounds import (
     ExactSubsetHeuristic,
     _prune_leaves,
@@ -67,6 +69,16 @@ class TestDualAscent:
     def test_root_outside_subset_rejected(self, fix_path):
         with pytest.raises(InputError):
             dual_ascent(fix_path, 0, terminal_subset={2})
+
+    def test_a_passed_deadline_stops_the_run(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            inst = random_instance(rng)
+            root = min(inst.terminals)
+            with pytest.raises(SolveTimeout):
+                dual_ascent(inst, root, deadline=time.monotonic() - 1)
+            later = time.monotonic() + 60
+            assert dual_ascent(inst, root, deadline=later) == dual_ascent(inst, root)
 
     def test_reduced_costs_bounded_and_terminals_reached(self):
         rng = random.Random(41)
@@ -329,6 +341,16 @@ class TestExactSubsetHeuristic:
         assert first.stats == second.stats
 
 
+@pytest.mark.parametrize(
+    "factory", [auto_heuristic, da_heuristic, one_tree_heuristic, zero_heuristic]
+)
+def test_heuristics_need_a_terminal_root(fix_star, factory):
+    with pytest.raises(InputError):
+        factory(fix_star, 0)
+    h = factory(fix_star, 2)
+    assert (h.instance, h.root, h.index.order) == (fix_star, 2, (1, 3))
+
+
 class TestOneTreeHeuristic:
     def test_k4_triple(self, fix_k4):
         h = one_tree_heuristic(fix_k4, 0)
@@ -502,7 +524,7 @@ class TestBestRootRunStop:
         calls = []
         real = bounds.dual_ascent
         monkeypatch.setattr(
-            bounds, "dual_ascent", lambda *a: calls.append(a) or real(*a)
+            bounds, "dual_ascent", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         rng = random.Random(65)
         corpus = [random_instance(rng, 6, 20, 3, 8) for _ in range(150)]

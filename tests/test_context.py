@@ -1,7 +1,8 @@
 """The solve context: the root is chosen once, the incumbent is kept
 across reduction rounds, matching bounds end the solve, a timeout returns
-the incumbent with both bounds, and every kind of solve reports the same
-stats keys."""
+the incumbent with both bounds within the stated tolerance, every kind of
+solve reports the same stats keys, and ``auto`` guides with dual ascent on
+graphs of every size."""
 
 import random
 import time
@@ -144,15 +145,15 @@ class TestFirstRound:
         starts = []  # (instance shape, start) of every full-graph RSPH start
         real, real_rsph = stpsolve.bounds.dual_ascent, stpsolve.bounds.rsph
 
-        def counted(instance, root, terminal_subset=None):
+        def counted(instance, root, terminal_subset=None, deadline=None):
             nonlocal runs
             runs += terminal_subset is None
-            return real(instance, root, terminal_subset)
+            return real(instance, root, terminal_subset, deadline)
 
-        def counted_rsph(instance, within=None, start=None, stop_at=None):
+        def counted_rsph(instance, within=None, start=None, stop_at=None, **kw):
             if within is None:
                 starts.append((shape(instance), start))
-            return real_rsph(instance, within, start, stop_at)
+            return real_rsph(instance, within, start, stop_at, **kw)
 
         def hunt_on(w):
             """The snapshot the next round runs on, the working ids of its
@@ -254,6 +255,21 @@ class TestStatsSchema:
         assert searched.stats["search"] == searched.search.as_dict()
 
 
+class TestAutoOnLargeGraphs:
+    @pytest.mark.parametrize("seed, expected", [(1, 215), (2, 170)])
+    def test_dual_ascent_guides_above_ten_thousand_edges(self, seed, expected):
+        # Without preprocessing the search runs on all 19,800 edges.
+        inst = unit_grid(100, 100, 6, 1, seed)
+        assert inst.network.edge_count > 10_000
+        config = SolveConfig(preprocess=False)
+        result = solve(inst, config)
+        assert result.stats["heuristic"] == "da+dw"
+        assert result.status == "optimal"
+        assert validate_tree(inst, result.tree) == result.cost == expected
+        config.heuristic = "onetree"
+        assert solve(inst, config).cost == expected
+
+
 class TestTimeouts:
     def test_grid_timeout_returns_an_incumbent_within_the_limit(self):
         inst = unit_grid(40, 40, 20, 1, 9)
@@ -277,6 +293,38 @@ class TestTimeouts:
         elapsed = time.perf_counter() - start
         assert validate_tree(inst, result.tree) == result.cost
         assert elapsed <= limit + max(0.25, 0.1 * limit)
+
+    def test_dual_ascent_runs_on_a_large_grid_honour_the_limit(self, monkeypatch):
+        # One dual-ascent run on this 44,700-edge grid takes longer than the
+        # tolerance.  With preprocessing the limits land in the first
+        # elimination round's dual ascent and in its upper bound's local
+        # search; without, in root selection's dual-ascent runs.  A timed
+        # solve first builds one RSPH tree of the input, so the solve may
+        # take as long as that tree when it takes longer than the limit.
+        inst = unit_grid(150, 150, 30, 100, 9)
+        rsph_seconds = []
+        real_rsph = stpsolve.solver.rsph
+
+        def timed_rsph(instance):
+            start = time.perf_counter()
+            tree = real_rsph(instance)
+            rsph_seconds.append(time.perf_counter() - start)
+            return tree
+
+        monkeypatch.setattr(stpsolve.solver, "rsph", timed_rsph)
+        sweep = [(True, 1.2), (True, 2.4)]
+        sweep += [(False, limit) for limit in (0.6, 0.9, 1.2, 1.5)]
+        for preprocess, limit in sweep:
+            rsph_seconds.clear()
+            start = time.perf_counter()
+            result = solve(inst, SolveConfig(preprocess=preprocess, time_limit=limit))
+            elapsed = time.perf_counter() - start
+            assert result.status == "timeout"
+            assert validate_tree(inst, result.tree) == result.cost
+            assert result.stats["upper_bound"] == result.cost
+            assert result.stats["lower_bound"] <= result.stats["upper_bound"]
+            floor = max(limit, rsph_seconds[0])
+            assert elapsed <= floor + max(0.25, 0.1 * limit), (preprocess, limit)
 
     @pytest.mark.parametrize("heuristic", ["auto", "da", "onetree", "zero"])
     def test_a_search_timeout_without_preprocessing_reports_a_bound(
@@ -459,9 +507,9 @@ def every_timeout(monkeypatch, corpus):
         if len(calls) == stop_at:
             raise SolveTimeout()
 
-    def run(instance, root, terminal_subset=None):
+    def run(instance, root, terminal_subset=None, deadline=None):
         nonlocal root_runs
-        result = real_run(instance, root, terminal_subset)
+        result = real_run(instance, root, terminal_subset, deadline)
         root_runs += terminal_subset is None
         return result
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stpsolve import (
+    HeuristicNegative,
     InputError,
     Instance,
     InternalError,
@@ -114,6 +115,31 @@ class TestDsStar:
         cost, _, stats = ds_star(fix_star, 3, da_heuristic(fix_star, 3), True)
         assert cost == 9
         assert stats.expansions >= 1
+
+    def test_heuristic_for_another_root_is_rejected(self, fix_star):
+        with pytest.raises(InputError):
+            ds_star(fix_star, 1, zero_heuristic(fix_star, 2), True)
+
+    def test_every_heuristic_value_is_checked(self):
+        # Negative only when a state is asked for again: the search keeps
+        # no copy of the values, so the repeat query is checked too.
+        class NegativeOnRepeat(SteinerHeuristic):
+            name = "negative-on-repeat"
+
+            def __init__(self, instance, root):
+                super().__init__(instance, root)
+                self.asked = set()
+
+            def eval_mask(self, u, mask):
+                if (u, mask) in self.asked:
+                    return -1
+                self.asked.add((u, mask))
+                return 0
+
+        inst = unit_grid_8x8()
+        root = min(inst.terminals)
+        with pytest.raises(HeuristicNegative):
+            ds_star(inst, root, NegativeOnRepeat(inst, root), False)
 
     def test_terminal_cap(self):
         inst = long_path_instance(130)
