@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -156,7 +157,9 @@ class SteinerHeuristic:
     """Guiding function: a lower bound on the cost of connecting a vertex
     with a terminal subset that always contains the search root.  The search
     keeps no copy of the values, so a heuristic caches what it builds per
-    subset mask."""
+    subset mask.  ``exact(mask)``, asked after ``eval_mask``, says that the
+    values are costs; ``completion(u, mask)`` then gives the edge ids of a
+    tree that spans u, the root and ``mask`` at that cost or less."""
 
     name = "base"
     deadline: Optional[float] = None  # checked while tables are built
@@ -169,6 +172,12 @@ class SteinerHeuristic:
         self.index = TerminalIndex(instance.terminals, root)
 
     def eval_mask(self, u: int, mask: int) -> int:
+        raise NotImplementedError
+
+    def exact(self, mask: int) -> bool:
+        return False
+
+    def completion(self, u: int, mask: int) -> Iterable[int]:
         raise NotImplementedError
 
     def eval(self, u: int, terminal_subset: Iterable[int]) -> int:
@@ -191,8 +200,9 @@ class DualAscentHeuristic(SteinerHeuristic):
     The value for (u, J) is the subset's dual-ascent bound plus the shortest
     root-to-u distance under the subset's reduced arc costs: any tree
     spanning J together with u pays at least that much.  Admissible but not
-    consistent.  A set ``deadline`` is checked before every table build and
-    inside its dual-ascent run.
+    consistent; exact for the empty J (the root-to-u distance).  A set
+    ``deadline`` is checked before every table build and inside its
+    dual-ascent run.
     """
 
     name = "da"
@@ -219,33 +229,52 @@ class DualAscentHeuristic(SteinerHeuristic):
         lower, rows = self._tables(mask)
         return lower + rows[u]
 
+    def exact(self, mask: int) -> bool:
+        return not mask
 
-# A search that has built dual-ascent tables for 1/EXACT_AFTER of the
-# complement masks will likely query most of them, so from then on exact
-# tables pay; searches that end sooner (most unit grids) never build a
-# terminal row.  Only masks of at most EXACT_TERMINAL_CAP non-root terminals
-# get one: a table then takes at most 31 splits and its closure at most 63
-# subset tables.
+    def completion(self, u: int, mask: int) -> Iterable[int]:
+        _, rows = self._tables(mask)
+        return [eid for _, eid in tight_path(self.instance.network, rows, u)]
+
+
+# The whole subset DP takes about 3^k * n steps (k terminals, root included,
+# n vertices); within DP_BUDGET every mask gets an exact table.  Elsewhere a
+# search that has built dual-ascent tables for 1/EXACT_AFTER of the masks will
+# likely query most of them, so from then on exact tables pay for masks of at
+# most EXACT_TERMINAL_CAP non-root terminals: at most 31 splits a table and
+# 63 tables a closure.  Searches that end sooner (most unit grids) build
+# only the rows of masks of at most one terminal.
+DP_BUDGET = 1 << 20
 EXACT_AFTER = 8
 EXACT_TERMINAL_CAP = 5
+
+
+def _splits(key: int) -> Iterator[tuple[int, int]]:
+    """Every split of the bitmask ``key`` into nonempty A + B, A holding
+    its lowest bit."""
+    low = key & -key
+    rest = sub = key ^ low
+    while sub:
+        sub = (sub - 1) & rest
+        yield low | sub, rest ^ sub
 
 
 class ExactSubsetHeuristic(DualAscentHeuristic):
     """Dual-ascent tables that give way to exact Dreyfus-Wagner tables.
 
-    Once dual-ascent tables exist for 1/``EXACT_AFTER`` of the 2^(k-1)
-    complement masks (k terminals, root included), each new mask J of at
-    most ``EXACT_TERMINAL_CAP`` terminals gets the exact table
-    S(J + root) instead: the value for (u, J) is then the cost of the
-    cheapest tree spanning J, the root and u, the sub-instance optimum.
-    Masks tabled before the switch keep their dual-ascent tables.  The
-    switch depends only on table counts, so searches stay deterministic.
+    A complement mask J gets the exact table S(J + root), the cost of the
+    cheapest tree spanning J, the root and u, when J holds at most one
+    terminal, when the whole DP fits ``DP_BUDGET``, or once dual-ascent
+    tables exist for 1/``EXACT_AFTER`` of the masks and J holds at most
+    ``EXACT_TERMINAL_CAP`` terminals.  The rules depend only on the instance
+    and table counts, so searches stay deterministic.
 
     Subset tables are keyed by a bitmask over all terminals, the root as
     the top bit.  S({t}) is t's distance row; for two or more terminals,
     every vertex starts at the cheapest split X = A + B (A holding X's
     lowest bit) of S(A)[v] + S(B)[v], and one seeded ``lower_distances``
-    run finishes S(X).  A set ``deadline`` is checked before every table.
+    run finishes S(X); a completion retraces a tight split at v, else a tight
+    arc.  A set ``deadline`` is checked before every table.
     """
 
     name = "da+dw"
@@ -254,21 +283,55 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
         super().__init__(instance, root)
         self._terminals = (*self.index.order, root)  # by bit position
         self._root_bit = self.index.full_mask + 1
+        k = len(self._terminals)
+        self._whole_dp = 3**k * instance.network.vertex_count <= DP_BUDGET
         self._da_tables = 0
+        self._exact: set[int] = set()
         self._subsets: dict[int, list[int]] = {}
 
     def _tables(self, mask: int) -> tuple[int, list[int]]:
         entry = self._cache.get(mask)
         if entry is None:
+            size = mask.bit_count()
             if (
-                EXACT_AFTER * self._da_tables > self.index.full_mask
-                and mask.bit_count() <= EXACT_TERMINAL_CAP
+                size <= 1
+                or self._whole_dp
+                or (
+                    EXACT_AFTER * self._da_tables > self.index.full_mask
+                    and size <= EXACT_TERMINAL_CAP
+                )
             ):
                 entry = self._cache[mask] = (0, self._subset(mask | self._root_bit))
+                self._exact.add(mask)
             else:
                 entry = super()._tables(mask)
                 self._da_tables += 1
         return entry
+
+    def exact(self, mask: int) -> bool:
+        return mask in self._exact
+
+    def completion(self, u: int, mask: int) -> Iterable[int]:
+        net = self.instance.network
+        tables = self._subsets
+        edges: set[int] = set()
+        stack = [(u, mask | self._root_bit)]
+        while stack:
+            v, key = stack.pop()
+            row = tables[key]
+            if key & (key - 1) == 0:
+                edges.update(eid for _, eid in tight_path(net, row, v))
+                continue
+            for a, b in _splits(key):
+                if tables[a][v] + tables[b][v] == row[v]:
+                    stack += ((v, a), (v, b))
+                    break
+            else:
+                cost, d = net.arc_cost, row[v]
+                y, arc = next((y, a) for y, a in net.out[v] if row[y] + cost[a] == d)
+                edges.add(arc >> 1)
+                stack.append((y, key))
+        return edges
 
     def _subset(self, key: int) -> list[int]:
         """S(X) for the terminals X of ``key``, built on first use."""
@@ -278,17 +341,13 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
         if self.deadline is not None:
             check_deadline(self.deadline)
         net = self.instance.network
-        low = key & -key
-        if key == low:
+        if key & (key - 1) == 0:
             row = [net.total_cost + 1] * net.vertex_count
             lower_distances(net, row, (self._terminals[key.bit_length() - 1],))
         else:
-            rest = sub = key ^ low
-            splits = []
-            while sub:
-                sub = (sub - 1) & rest
-                a, b = self._subset(low | sub), self._subset(rest ^ sub)
-                splits.append(map(add, a, b))
+            splits = [
+                map(add, self._subset(a), self._subset(b)) for a, b in _splits(key)
+            ]
             # One min call per vertex over every split.
             row = list(map(min, *splits) if len(splits) > 1 else splits[0])
             lower_distances(net, row, None)
@@ -308,11 +367,16 @@ class OneTreeHeuristic(SteinerHeuristic):
 
     def __init__(self, instance: Instance, root: int):
         super().__init__(instance, root)
-        net = instance.network
-        self.rows: dict[int, list[int]] = {
-            z: shortest_path_distances(net, z) for z in sorted(instance.terminals)
-        }
         self._mst_cache: dict[int, int] = {}
+
+    @cached_property
+    def rows(self) -> dict[int, list[int]]:
+        """A distance row per terminal, each after a ``deadline`` check."""
+        rows = {}
+        for z in sorted(self.instance.terminals):
+            check_deadline(self.deadline)
+            rows[z] = shortest_path_distances(self.instance.network, z)
+        return rows
 
     def _subset_mst(self, mask: int) -> int:
         cached = self._mst_cache.get(mask)

@@ -43,11 +43,13 @@ class InternalError(StpError):
 
 class SolveTimeout(Exception):
     """Raised internally when a cooperative deadline passes.  ``search``
-    carries the search counters when it fired inside the search."""
+    carries the search counters and ``lower_bound`` its proven bound, if
+    any, when it fired inside the search."""
 
-    def __init__(self, search=None):
+    def __init__(self, search=None, lower_bound: Optional[int] = None):
         super().__init__()
         self.search = search
+        self.lower_bound = lower_bound
 
 
 def check_deadline(deadline: Optional[float]):

@@ -12,6 +12,7 @@ solution expansion together.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,9 +37,11 @@ from .bounds import (
     TerminalIndex,
     auto_heuristic,
     da_heuristic,
+    improving_root_runs,
     one_tree_heuristic,
+    pruned_mst,
     rsph,
-    select_root,
+    select_root,  # unused here; stpbench/tracing.py wraps this name
     upper_bound_pipeline,  # unused here; stpbench/tracing.py wraps this name
     zero_heuristic,
 )
@@ -303,12 +306,27 @@ def ds_star(
     heuristic: SteinerHeuristic,
     pruning: bool = True,
     deadline: Optional[float] = None,
+    cutoff: Optional[int] = None,
 ):
-    """Best-first search over (vertex, terminal-subset) states.
+    """Best-first search over (vertex, terminal-subset) states, keyed by
+    g + h, from an incumbent of cost ``cutoff`` (None for none).
 
-    Terminates with the optimal cost for any admissible heuristic; states
-    are re-expanded when their tentative cost improves after expansion, which
-    non-consistent heuristics can cause.  Returns (cost, tree, stats).
+    A state with g at or above the incumbent is dropped before its guide is
+    asked, and one whose key is not below it is not queued.  One whose guide
+    is exact for its complement is banked instead: its retrace plus the
+    guide's completion becomes the incumbent when cheaper.  The goal counts
+    with its g alone, and a start state's exact key is the optimum, which
+    ends the search.  Otherwise it stops when the queue is empty or its
+    smallest key reaches the incumbent, which is then optimal for any
+    admissible guide, consistent or not: while an optimal tree T (one the
+    pruning keeps) is cheaper than the incumbent, a state of T's
+    decomposition is queued at its optimal cost, with a key of at most
+    cost(T); a state that improves after its expansion is queued again.  So
+    the largest key popped, capped by the incumbent, is a lower bound, which
+    a ``SolveTimeout`` raised after the start states are queued carries.
+
+    Returns (cost, tree, stats); cost and tree are None when no tree is
+    cheaper than ``cutoff``.
     """
     net = instance.network
     terms = instance.terminals
@@ -327,10 +345,13 @@ def ds_star(
         return 0, SteinerTree(frozenset(), root, 0), stats
 
     full = index.full_mask
+    best = math.inf if cutoff is None else cutoff
+    incumbent: Optional[set[int]] = None
+    floor: Optional[int] = None  # largest key popped
 
     def timeout() -> SolveTimeout:
         stats.wall_time = time.perf_counter() - start
-        return SolveTimeout(stats)
+        return SolveTimeout(stats, None if floor is None else min(floor, best))
 
     def guide(u: int, mask: int) -> int:
         try:
@@ -350,29 +371,51 @@ def ds_star(
     except SolveTimeout:
         raise timeout() from None
 
-    heap = []
+    def bank(u: int, mask: int, cost: int):
+        nonlocal best, incumbent
+        edges = compute_smt(retrace, net, index, u, mask)
+        if mask != full or u != root:
+            edges.update(heuristic.completion(u, full ^ mask))
+        tree = pruned_mst(net, edges, terms)
+        if sum(net.cost_of(e) for e in tree) > cost:
+            raise InternalError(f"tree through {(u, mask)} costs over {cost}")
+        best, incumbent = cost, tree
+
+    heap: list[tuple[int, int, int, int, int]] = []
+
+    def push(u: int, mask: int, value: int) -> bool:
+        """Queue, bank or drop a state; say whether its key was exact."""
+        if value >= best:
+            return False
+        if mask == full and u == root:
+            bank(u, mask, value)
+            return True
+        key = value + guide(u, mask)
+        exact = heuristic.exact(full ^ mask)
+        if key < best:
+            if exact:
+                bank(u, mask, key)
+            else:
+                heapq.heappush(heap, (key, -mask.bit_count(), u, mask, value))
+                stats.insertions += 1
+                if len(heap) > stats.queue_peak:
+                    stats.queue_peak = len(heap)
+        return exact
+
     for z in index.order:
         bit = index.bit[z]
         tentative[(z, bit)] = 0
-        heap.append((guide(z, bit), -1, z, bit, 0))
-    heapq.heapify(heap)
-    stats.insertions = len(heap)
-    stats.queue_peak = len(heap)
-
-    def push(u: int, mask: int, value: int):
-        heapq.heappush(
-            heap, (value + guide(u, mask), -mask.bit_count(), u, mask, value)
-        )
-        stats.insertions += 1
-        if len(heap) > stats.queue_peak:
-            stats.queue_peak = len(heap)
+        if push(z, bit, 0):  # at g = 0 an exact key is the optimum
+            heap.clear()
+            break
+    if heap:
+        floor = heap[0][0]
 
     out, arc_cost = net.out, net.arc_cost
-    goal = (root, full)
-    while goal not in done:
-        if not heap:
-            raise InternalError("queue exhausted before reaching the goal state")
-        _, _, u, mask, inserted = heapq.heappop(heap)
+    while heap and heap[0][0] < best:
+        key, _, u, mask, inserted = heapq.heappop(heap)
+        if key > floor:
+            floor = key
         current = tentative.get((u, mask))
         if current is None or inserted > current:
             stats.stale_pops += 1
@@ -413,11 +456,12 @@ def ds_star(
                 else:
                     push(v, mask, value)
 
-    cost = tentative[goal]
-    edges = compute_smt(retrace, net, index, root, full)
-    tree = SteinerTree.from_edges(net, edges, root)
     stats.wall_time = time.perf_counter() - start
-    return cost, tree, stats
+    if incumbent is None:
+        if cutoff is None:
+            raise InternalError("queue exhausted before reaching the goal state")
+        return None, None, stats
+    return best, SteinerTree.from_edges(net, incumbent, root), stats
 
 
 _HEURISTICS = {
@@ -483,6 +527,13 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         cost = None if tree is None else tree.cost
         return SolveResult(status, tree, cost, stats, pre, search)
 
+    def proven(search=None) -> SolveResult:
+        tree, bound = ctx.tree(instance), ctx.upper_bound
+        if validate_tree(instance, tree) != bound:
+            raise InternalError(f"proven tree costs {tree.cost}, bound {bound}")
+        ctx.lower_bound = ctx.upper_bound
+        return result("optimal", tree, search)
+
     try:
         if deadline is not None:
             ctx.offer(instance, rsph(instance).edges)
@@ -508,38 +559,36 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
             return result("optimal", tree)
 
         if ctx.proven:
-            tree = ctx.tree(instance)
-            if validate_tree(instance, tree) != ctx.lower_bound:
-                raise InternalError(
-                    f"proven tree costs {tree.cost}, bound {ctx.lower_bound}"
-                )
             stats["root"] = pre.vertex_image[ctx.root]
-            return result("optimal", tree)
+            return proven()
 
-        run = None
         if ctx.root is None:
-            run = select_root(reduced, deadline)
+            # As in the hunting round, a timeout keeps the best run's bound.
+            for run in improving_root_runs(reduced, deadline=deadline):
+                ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + pre.offset)
             root = run.root
         else:
             root = pre.vertex_image[ctx.root]
             if root is None or root not in reduced.terminals:
                 raise InternalError("the solve's root vanished during preprocessing")
-        if not cfg.preprocess:
-            # No reduction round proved a bound; the root's dual ascent does.
-            if run is None:
+            if not cfg.preprocess:
+                # No reduction round proved a bound; the root's dual ascent
+                # does.  Looked up in ``bounds`` so that a wrapper installed
+                # there (as by stpbench's tracer) counts this run.
                 check_deadline(deadline)
-                # Looked up in ``bounds`` so that a wrapper installed there
-                # (as by stpbench's tracer) counts this run.
                 run = _bounds.dual_ascent(reduced, root, deadline=deadline)
-            ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + pre.offset)
+                ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + pre.offset)
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
         heuristic.deadline = deadline
         stats["heuristic"] = heuristic.name
         stats["root"] = root
 
+        cutoff = None if ctx.upper_bound is None else ctx.upper_bound - pre.offset
         cost, reduced_tree, search = ds_star(
-            reduced, root, heuristic, cfg.pruning, deadline
+            reduced, root, heuristic, cfg.pruning, deadline, cutoff
         )
+        if reduced_tree is None:  # the search proved the incumbent optimal
+            return proven(search)
         tree = unreduce(reduced_tree, pre.log)
         recomputed = validate_tree(instance, tree)
         if recomputed != cost + pre.offset:
@@ -549,6 +598,8 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         ctx.lower_bound = ctx.upper_bound = recomputed
         return result("optimal", tree, search)
     except SolveTimeout as exc:
+        if exc.lower_bound is not None:
+            ctx.lower_bound = max(ctx.lower_bound, exc.lower_bound + pre.offset)
         tree = ctx.tree(instance)
         if tree is not None:
             validate_tree(instance, tree)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import stpsolve.bounds
 from stpsolve import (
     InputError,
     Instance,
@@ -28,6 +29,7 @@ from stpsolve import (
 from stpsolve import SteinerTree
 from stpsolve.graph import SolveTimeout
 from stpsolve.bounds import (
+    DP_BUDGET,
     ExactSubsetHeuristic,
     _prune_leaves,
     _spread,
@@ -44,6 +46,7 @@ from conftest import (
     random_grid,
     random_instance,
     unit_grid,
+    unit_grid_8x8,
 )
 
 
@@ -288,36 +291,57 @@ class TestExactSubsetHeuristic:
                     assert row[v] == csmt(inst, terminals | {v})
 
     def test_switch_after_one_eighth_of_the_masks(self):
-        # Eight terminals: 128 complement masks, so the switch comes after
-        # 16 dual-ascent tables, and only for masks of at most 5 terminals.
-        inst = hypercube(random.Random(5), 6, 8, 100, 110, 3)
+        # Ten terminals on a 7-cube: the whole subset DP is past the budget.
+        # Masks of at most one terminal get exact tables from the first
+        # query.  The others switch after 64 dual-ascent tables (1/8 of the
+        # 512 complement masks), and only for masks of at most 5 terminals.
+        inst = hypercube(random.Random(5), 7, 10, 100, 110, 3)
         h = ExactSubsetHeuristic(inst, min(inst.terminals))
+        assert 3 ** len(inst.terminals) * inst.network.vertex_count > DP_BUDGET
         da = da_heuristic(inst, h.root)
         root_bit = h.index.full_mask + 1
-        for mask in range(16):
+        for mask in (0, 1, 2, 256):
+            for u in range(inst.network.vertex_count):
+                assert h.eval_mask(u, mask) == h._subset(mask | root_bit)[u]
+            assert h.exact(mask)
+        assert h._da_tables == 0
+        larger = [m for m in range(h.index.full_mask + 1) if m.bit_count() >= 2]
+        for mask in larger[:64]:
             assert h.eval_mask(h.root, mask) == da.eval_mask(h.root, mask)
-        assert h._da_tables == 16 and not h._subsets
+            assert not h.exact(mask)
+        assert h._da_tables == 64
+        small = next(m for m in larger[64:] if m.bit_count() <= 5)
         for u in range(inst.network.vertex_count):
-            assert h.eval_mask(u, 16) == h._subset(16 | root_bit)[u]
-        assert h._da_tables == 16
-        assert h.eval_mask(h.root, 63) == da.eval_mask(h.root, 63)
-        assert h._da_tables == 17
+            assert h.eval_mask(u, small) == h._subset(small | root_bit)[u]
+        assert h.exact(small) and h._da_tables == 64
+        big = next(m for m in larger[64:] if m.bit_count() > 5)
+        assert h.eval_mask(h.root, big) == da.eval_mask(h.root, big)
+        assert not h.exact(big) and h._da_tables == 65
 
     def test_grids_that_never_switch_search_as_dual_ascent(self):
+        # On grids past the DP budget, a search that never reaches the
+        # switch keeps for every mask of two or more terminals the
+        # dual-ascent table da builds, and finds da's cost.  The grids are
+        # the corpus's unit grids; family_corpus(0) is its 12-terminal grid.
         unswitched = 0
-        for inst, (build, _) in zip(family_corpus(3), 3 * SHAPES):
-            if build is not unit_grid:
+        grids = [
+            inst
+            for inst, (build, _) in zip(family_corpus(3), 3 * SHAPES)
+            if build is unit_grid
+        ] + family_corpus(0)
+        for inst in grids:
+            if 3 ** len(inst.terminals) * inst.network.vertex_count <= DP_BUDGET:
                 continue
             root = min(inst.terminals)
             exact, da = auto_heuristic(inst, root), da_heuristic(inst, root)
-            cost, tree, stats = ds_star(inst, root, exact)
-            if exact._subsets:
+            cost, tree, _ = ds_star(inst, root, exact)
+            larger = [m for m in exact._cache if m.bit_count() >= 2]
+            if any(exact.exact(m) for m in larger):
                 continue
             unswitched += 1
-            da_cost, da_tree, da_stats = ds_star(inst, root, da)
-            stats.wall_time = da_stats.wall_time = 0.0
-            assert (cost, tree, stats) == (da_cost, da_tree, da_stats)
-            assert exact._cache.keys() == da._cache.keys()
+            assert ds_star(inst, root, da)[0] == cost == validate_tree(inst, tree)
+            for mask in larger:
+                assert exact._cache[mask] == da._tables(mask)
         assert unswitched >= 4
 
     def test_weighted_hypercubes_switch_and_expand_less(self):
@@ -364,6 +388,31 @@ class TestOneTreeHeuristic:
 
     def test_root_identity(self, fix_k4):
         assert one_tree_heuristic(fix_k4, 1).eval(1, {1}) == 0
+
+    def test_rows_are_built_on_first_use_within_the_deadline(self, monkeypatch):
+        # The solve sets the deadline after building the heuristic, so the
+        # rows wait for the first query, which checks it before each row.
+        rows = 0
+        real = stpsolve.bounds.shortest_path_distances
+
+        def row(network, source):
+            nonlocal rows
+            rows += 1
+            return real(network, source)
+
+        monkeypatch.setattr(stpsolve.bounds, "shortest_path_distances", row)
+        inst = unit_grid_8x8()
+        root = min(inst.terminals)
+        h = one_tree_heuristic(inst, root)
+        assert rows == 0
+        h.deadline = time.monotonic() - 1
+        with pytest.raises(SolveTimeout):
+            h.eval_mask(root, h.index.full_mask)
+        assert rows == 0
+        h.deadline = None
+        expected = one_tree_heuristic(inst, root).eval_mask(root, h.index.full_mask)
+        assert h.eval_mask(root, h.index.full_mask) == expected
+        assert rows == 2 * len(inst.terminals)
 
     def test_rows_agree_with_shortest_paths(self, fix_k4):
         h = one_tree_heuristic(fix_k4, 0)

@@ -349,6 +349,78 @@ class TestTimeouts:
             assert result.stats["lower_bound"] == bound
             assert result.stats["upper_bound"] == result.cost >= optimum(inst)
 
+    def test_a_timeout_among_the_root_runs_keeps_their_bound(self, monkeypatch):
+        # Without preprocessing the solve picks its root by the improving
+        # dual-ascent runs over all terminals, and raises its bound with
+        # each: time running out among them keeps the best finished run's.
+        calls, finished = [], []
+        real_run = stpsolve.bounds.dual_ascent
+
+        def check(deadline):
+            calls.append(deadline)
+            if len(calls) == stop_at:
+                raise SolveTimeout()
+
+        def run(instance, root, terminal_subset=None, deadline=None):
+            result = real_run(instance, root, terminal_subset, deadline)
+            if terminal_subset is None:
+                finished.append(result.lower_bound)
+            return result
+
+        for module in (stpsolve.solver, stpsolve.reductions, stpsolve.bounds):
+            monkeypatch.setattr(module, "check_deadline", check)
+        monkeypatch.setattr(stpsolve.bounds, "dual_ascent", run)
+        among_runs = 0
+        for inst in TIMEOUT_CORPUS[:20]:
+            expected = optimum(inst)
+            stop_at = 1
+            while True:
+                calls.clear()
+                finished.clear()
+                config = SolveConfig(preprocess=False, time_limit=60.0)
+                result = solve(inst, config)
+                if result.status == "optimal":
+                    assert result.cost == expected
+                    break
+                if finished:
+                    assert max(finished) <= result.stats["lower_bound"] <= expected
+                    among_runs += result.stats["root"] is None
+                stop_at += 1
+        assert among_runs >= 20
+
+    def test_search_timeouts_report_the_open_queue_bound(self, monkeypatch):
+        # A weighted 7-cube of the many-terminals family, past the DP
+        # budget, whose search closes the gap between the dual-ascent bound
+        # (1966) and the optimum (2063).  Time limits sweep the solve: every
+        # timeout brackets the optimum and returns a valid tree, and
+        # timeouts late in the search report the open queue's bound, above
+        # the bound the search started from.
+        inst = hypercube(random.Random("0:w"), 7, 10, 100, 110, 3)
+        expected = optimum(inst)
+        start = time.perf_counter()
+        assert solve(inst).cost == expected
+        elapsed = time.perf_counter() - start
+
+        def search(*args, **kwargs):
+            raise SolveTimeout()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stpsolve.solver, "ds_star", search)
+            before = solve(inst, SolveConfig(time_limit=60.0)).stats["lower_bound"]
+        assert before < expected
+        searched = raised = 0
+        for step in range(1, 20):
+            result = solve(inst, SolveConfig(time_limit=elapsed * step / 20))
+            stats = result.stats
+            assert validate_tree(inst, result.tree) == result.cost
+            assert stats["lower_bound"] <= expected <= stats["upper_bound"]
+            assert stats["upper_bound"] == result.cost
+            if result.status == "timeout" and result.search is not None:
+                searched += 1
+                raised += stats["lower_bound"] > before
+        assert searched >= 5
+        assert raised >= 1
+
     def test_search_counters_survive_a_timeout(self):
         inst = unit_grid(15, 15, 10, 1, 9)
         result = solve(
@@ -387,9 +459,11 @@ class TestTimeouts:
         assert after_a_run >= 60
 
     def test_timeouts_inside_exact_table_builds(self, monkeypatch):
-        # The search on a weighted 6-cube switches to exact subset tables,
-        # which make most of the solve's deadline checks.  Time runs out at
-        # every ninth check, most often inside a subset table build.
+        # The search on a weighted 6-cube builds exact subset tables, which
+        # make most of the solve's deadline checks.  Time runs out at every
+        # third check (a superset of every ninth, 1 + 9j = 1 + 3 * 3j), most
+        # often inside a subset table build: the whole DP fits the budget,
+        # and the search builds the tables of its first start state only.
         inst = hypercube(random.Random(2), 6, 8, 100, 110, 3)
         expected = optimum(inst)
         calls = []
@@ -425,7 +499,7 @@ class TestTimeouts:
             assert result.cost == stats["upper_bound"]
             assert stats["lower_bound"] <= expected <= stats["upper_bound"]
             in_tables += calls[-1] > 0
-            stop_at += 9
+            stop_at += 3
         assert in_tables >= 20
 
     def test_a_past_deadline_stops_the_prune_table(self, monkeypatch):

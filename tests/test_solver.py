@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import stpsolve.solver
 from stpsolve import (
     HeuristicNegative,
     InputError,
@@ -22,13 +23,15 @@ from stpsolve import (
     prune,
     prune_combine,
     run_pipeline,
+    SteinerTree,
     shortest_path_distances,
     solve,
     validate_tree,
     zero_heuristic,
 )
-from stpsolve.bounds import SteinerHeuristic, TerminalIndex
-from conftest import brute_force_smt, random_instance, unit_grid_8x8
+from stpsolve.bounds import SteinerHeuristic, TerminalIndex, auto_heuristic
+from stpsolve.graph import SolveTimeout
+from conftest import brute_force_smt, random_grid, random_instance, unit_grid_8x8
 
 
 class ErraticExact(SteinerHeuristic):
@@ -179,6 +182,160 @@ class TestDsStar:
         _, _, stats = ds_star(fix_k4, 2, zero_heuristic(fix_k4, 2), True)
         payload = json.loads(json.dumps(stats.as_dict()))
         assert payload["expansions"] == stats.expansions
+
+
+def searching_auto(instance, root):
+    """``auto`` without the whole subset DP, which on the small oracle
+    instances always fits the budget and ends the search at its start
+    states: the search then meets rows of at most one terminal from the
+    start and dual-ascent tables before the switch."""
+    h = auto_heuristic(instance, root)
+    h._whole_dp = False
+    return h
+
+
+HEURISTICS = {
+    "auto": auto_heuristic,
+    "auto-searching": searching_auto,
+    "da": da_heuristic,
+    "onetree": one_tree_heuristic,
+    "zero": zero_heuristic,
+}
+
+
+def oracle_corpus(main_corpus, main_corpus_optima, small_corpus):
+    """(instance, root, optimum) over the first 200 instances of the main
+    corpus and the whole small corpus."""
+    for inst, optimum in zip(main_corpus[:200], main_corpus_optima):
+        yield inst, min(inst.terminals), optimum
+    for inst in small_corpus:
+        root = min(inst.terminals)
+        yield inst, root, dreyfus_wagner(inst, root)[0]
+
+
+@pytest.mark.parametrize("name", sorted(HEURISTICS))
+class TestIncumbent:
+    def test_costs_equal_dreyfus_wagner(
+        self, name, main_corpus, main_corpus_optima, small_corpus
+    ):
+        for inst, root, optimum in oracle_corpus(
+            main_corpus, main_corpus_optima, small_corpus
+        ):
+            cost, tree, _ = ds_star(inst, root, HEURISTICS[name](inst, root))
+            assert cost == optimum
+            assert validate_tree(inst, tree) == optimum
+
+    def test_a_cutoff_at_the_optimum_proves_it(
+        self, name, main_corpus, main_corpus_optima, small_corpus
+    ):
+        # No tree is cheaper than the optimum: the queue empties and the
+        # search returns no tree.
+        for inst, root, optimum in oracle_corpus(
+            main_corpus, main_corpus_optima, small_corpus
+        ):
+            h = HEURISTICS[name](inst, root)
+            assert ds_star(inst, root, h, cutoff=optimum)[:2] == (None, None)
+
+    def test_a_cutoff_above_the_optimum_finds_it(
+        self, name, main_corpus, main_corpus_optima, small_corpus
+    ):
+        for inst, root, optimum in oracle_corpus(
+            main_corpus, main_corpus_optima, small_corpus
+        ):
+            h = HEURISTICS[name](inst, root)
+            cost, tree, _ = ds_star(inst, root, h, cutoff=optimum + 1)
+            assert cost == optimum
+            assert validate_tree(inst, tree) == optimum
+
+    def test_banked_trees_are_valid_and_cost_at_most_their_keys(
+        self, name, monkeypatch, main_corpus, main_corpus_optima, small_corpus
+    ):
+        # Every incumbent the search banks is recorded; each must be a tree
+        # that spans every terminal and costs at least the optimum.  The
+        # search itself raises InternalError when a banked tree costs more
+        # than its key (see test_a_completion_dearer_than_its_key_is_caught).
+        banked = []
+        real = stpsolve.solver.pruned_mst
+
+        def recording(network, edges, keep):
+            tree = real(network, edges, keep)
+            banked.append(tree)
+            return tree
+
+        monkeypatch.setattr(stpsolve.solver, "pruned_mst", recording)
+        completed = 0
+        for inst, root, optimum in oracle_corpus(
+            main_corpus, main_corpus_optima, small_corpus
+        ):
+            banked.clear()
+            cost, tree, _ = ds_star(inst, root, HEURISTICS[name](inst, root))
+            assert banked and set(banked[-1]) == tree.edges
+            for edges in banked:
+                as_tree = SteinerTree.from_edges(inst.network, edges, root)
+                assert validate_tree(inst, as_tree) >= optimum
+            completed += len(banked)
+        assert completed >= 300
+
+    def test_timeouts_carry_a_bound_below_the_optimum(self, name):
+        # Time runs out at the j-th guide query, for every j up to the
+        # number a search makes; the bound of each timeout raised after the
+        # start states are queued lies between 0 and the optimum.  Plain
+        # ``auto`` times out only at its start states here, with no bound.
+        class Expiring(SteinerHeuristic):
+            def __init__(self, inner, calls):
+                self.inner, self.calls = inner, calls
+                self.root, self.index = inner.root, inner.index
+                self.made = 0
+
+            def eval_mask(self, u, mask):
+                self.made += 1
+                if self.made == self.calls:
+                    raise SolveTimeout()
+                return self.inner.eval_mask(u, mask)
+
+            def exact(self, mask):
+                return self.inner.exact(mask)
+
+            def completion(self, u, mask):
+                return self.inner.completion(u, mask)
+
+        rng = random.Random(71)
+        bounded = 0
+        for _ in range(6):
+            inst = random_grid(rng, max_side=7, min_t=5, max_t=8)
+            root = min(inst.terminals)
+            optimum = dreyfus_wagner(inst, root)[0]
+            calls = 1
+            while True:
+                h = Expiring(HEURISTICS[name](inst, root), calls)
+                try:
+                    cost, _, _ = ds_star(inst, root, h)
+                except SolveTimeout as exc:
+                    bound = exc.lower_bound
+                    assert bound is None or 0 <= bound <= optimum
+                    bounded += bound is not None and bound > 0
+                    calls += 1
+                    continue
+                assert cost == optimum
+                break
+        assert bounded >= (0 if name == "auto" else 100)
+
+
+def test_a_completion_dearer_than_its_key_is_caught(fix_k4):
+    class Lying(SteinerHeuristic):
+        """Claims exact zero values, completing with every edge."""
+
+        def eval_mask(self, u, mask):
+            return 0
+
+        def exact(self, mask):
+            return True
+
+        def completion(self, u, mask):
+            return range(self.instance.network.edge_count)
+
+    with pytest.raises(InternalError):
+        ds_star(fix_k4, 2, Lying(fix_k4, 2))
 
 
 def uncached_prune(state, v, mask, tentative):

@@ -1,4 +1,4 @@
-"""Print one SHA-256 over the answers of every seed-1-3 benchmark solve.
+"""Print two SHA-256 digests over the answers of every seed-1-3 benchmark solve.
 
     python3 tools/solve_digest.py
 
@@ -6,9 +6,11 @@ Runs from anywhere in a source checkout and imports the solver from
 ``src/`` and the instance families from ``stpbench/families.py``.  For each
 workload and each seed 1 to 3, every instance is written as ``.stp`` text,
 parsed and solved with the default ``SolveConfig``, as ``stpbench/run.py``
-does.  The digest covers each solve's status, cost, tree edges and
+does.  The first line covers each solve's status, cost, tree edges and
 ``stats`` without their ``wall_time`` keys, so two checkouts that print the
-same line gave byte-identical answers on all 288 solves.
+same first line gave byte-identical answers on all 288 solves.  The second
+line covers only status and cost: two checkouts that print the same second
+line found the same optima, whatever trees and counters they report.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def main() -> int:
     from families import WORKLOADS, instances
     from stpsolve import parse_instance, solve, write_instance
 
-    digest = hashlib.sha256()
+    digest, costs = hashlib.sha256(), hashlib.sha256()
     solves = 0
     for name, shapes in sorted(WORKLOADS.items()):
         for seed in SEEDS:
@@ -47,8 +49,10 @@ def main() -> int:
                 }
                 digest.update(json.dumps(answer, sort_keys=True).encode())
                 digest.update(b"\n")
+                costs.update(f"{result.status} {result.cost}\n".encode())
                 solves += 1
     print(f"{digest.hexdigest()}  {solves} solves")
+    print(f"{costs.hexdigest()}  {solves} costs")
     return 0
 
 
