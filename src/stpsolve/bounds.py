@@ -249,6 +249,11 @@ EXACT_AFTER = 8
 EXACT_TERMINAL_CAP = 5
 
 
+def fits_dp_budget(instance: Instance) -> bool:
+    """Whether the whole subset DP over ``instance`` fits ``DP_BUDGET``."""
+    return 3 ** len(instance.terminals) * instance.network.vertex_count <= DP_BUDGET
+
+
 def _splits(key: int) -> Iterator[tuple[int, int]]:
     """Every split of the bitmask ``key`` into nonempty A + B, A holding
     its lowest bit."""
@@ -283,8 +288,7 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
         super().__init__(instance, root)
         self._terminals = (*self.index.order, root)  # by bit position
         self._root_bit = self.index.full_mask + 1
-        k = len(self._terminals)
-        self._whole_dp = 3**k * instance.network.vertex_count <= DP_BUDGET
+        self._whole_dp = fits_dp_budget(instance)
         self._da_tables = 0
         self._exact: set[int] = set()
         self._subsets: dict[int, list[int]] = {}

@@ -43,13 +43,15 @@ class InternalError(StpError):
 
 class SolveTimeout(Exception):
     """Raised internally when a cooperative deadline passes.  ``search``
-    carries the search counters and ``lower_bound`` its proven bound, if
-    any, when it fired inside the search."""
+    carries the search counters, ``lower_bound`` its proven bound and
+    ``incumbent`` the edge ids of the cheapest tree it banked, if any, when
+    it fired inside the search."""
 
-    def __init__(self, search=None, lower_bound: Optional[int] = None):
+    def __init__(self, search=None, lower_bound=None, incumbent=None):
         super().__init__()
         self.search = search
         self.lower_bound = lower_bound
+        self.incumbent = incumbent
 
 
 def check_deadline(deadline: Optional[float]):
@@ -89,10 +91,20 @@ class Network:
             if old is None or cost < old:
                 best[key] = cost
 
+        self._build(vertex_count, tuple((*key, best[key]) for key in sorted(best)))
+
+    @classmethod
+    def trusted(cls, vertex_count: int, edges: Iterable[tuple[int, int, int]]):
+        """A network of ``edges`` that already hold each edge once as
+        (u, v, cost), u < v, sorted, with positive integer costs: as the
+        constructor builds it, without the dedup or the per-edge checks."""
+        net = cls.__new__(cls)
+        net._build(vertex_count, tuple(edges))
+        return net
+
+    def _build(self, vertex_count: int, edges: tuple[tuple[int, int, int], ...]):
         self.vertex_count = vertex_count
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(
-            (u, v, best[(u, v)]) for (u, v) in sorted(best)
-        )
+        self.edges = edges
         # Filled in sorted edge order, out[x] needs no sort: a neighbor
         # below x comes from an edge (u, x), before every edge (x, v).
         tail, arc_cost, out = [], [], [[] for _ in range(vertex_count)]
@@ -143,6 +155,15 @@ class Instance:
                 raise InputError(f"terminal {z} is not a vertex")
         if not net.is_connected():
             raise InputError("instance network must be connected")
+
+    @classmethod
+    def trusted(cls, network: Network, terminals: frozenset[int]):
+        """An instance of a connected ``network`` and terminals among its
+        vertices, without the checks."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "network", network)
+        object.__setattr__(inst, "terminals", terminals)
+        return inst
 
 
 @dataclass(frozen=True)

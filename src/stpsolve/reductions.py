@@ -60,13 +60,16 @@ class SolveContext:
     it merged into.  ``incumbent`` holds the original edge ids of the
     cheapest tree found so far and ``upper_bound`` its cost; ``lower_bound``
     is the best proven bound on the optimum, in original costs.  Equal
-    bounds prove the incumbent optimal.
+    bounds prove the incumbent optimal.  ``whole_dp`` says that the search's
+    guide builds the whole subset DP on a graph within ``DP_BUDGET``, where
+    the search ends at its first start state whatever the bounds.
     """
 
     root: Optional[int] = None
     lower_bound: int = 0
     upper_bound: Optional[int] = None
     incumbent: frozenset[int] = frozenset()
+    whole_dp: bool = False
 
     @property
     def proven(self) -> bool:
@@ -236,8 +239,8 @@ class _Working:
                     c, p = nbrs[v]
                     edges.append((pos[u], pos[v], c))
                     prov.append(p)
-        net = Network(len(order), edges)
-        inst = Instance(net, frozenset(pos[t] for t in self.terminals))
+        net = Network.trusted(len(order), edges)
+        inst = Instance.trusted(net, frozenset(pos[t] for t in self.terminals))
         return inst, order, prov
 
     # -- simple operations ---------------------------------------------------
@@ -354,9 +357,11 @@ class _Working:
         over the roots would pick: no run beats a bound that meets an upper
         bound.  A first round that deletes nothing goes on as the hunting
         round on its own snapshot and run, which is the graph and run the
-        next round would make again.  When the bounds meet the incumbent is
-        optimal, the round's run picks the root, and the round deletes
-        nothing.
+        next round would make again, unless the context's search is the
+        whole DP and that snapshot fits ``DP_BUDGET``: then the round's run
+        picks the root and the pipeline ends.  When the bounds meet the
+        incumbent is optimal, the round's run picks the root, and the round
+        deletes nothing.
         """
         if len(self.terminals) <= 1:
             return 0
@@ -389,6 +394,9 @@ class _Working:
             changed = self._eliminate(inst, order, run, bound, deadline)
             if changed or ctx.root is not None:
                 return changed
+            if ctx.whole_dp and _bounds.fits_dp_budget(inst):
+                ctx.root = order[run.root]  # no bound shortens the search
+                return 0
             hunt = True  # the first round deleted nothing: hunt on its snapshot
 
     def _eliminate(

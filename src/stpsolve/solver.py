@@ -323,7 +323,8 @@ def ds_star(
     decomposition is queued at its optimal cost, with a key of at most
     cost(T); a state that improves after its expansion is queued again.  So
     the largest key popped, capped by the incumbent, is a lower bound, which
-    a ``SolveTimeout`` raised after the start states are queued carries.
+    a ``SolveTimeout`` raised after the start states are queued carries,
+    with the edge ids of the tree banked last, if any.
 
     Returns (cost, tree, stats); cost and tree are None when no tree is
     cheaper than ``cutoff``.
@@ -351,7 +352,9 @@ def ds_star(
 
     def timeout() -> SolveTimeout:
         stats.wall_time = time.perf_counter() - start
-        return SolveTimeout(stats, None if floor is None else min(floor, best))
+        return SolveTimeout(
+            stats, None if floor is None else min(floor, best), incumbent
+        )
 
     def guide(u: int, mask: int) -> int:
         try:
@@ -513,7 +516,7 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
         time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
     )
     started = time.perf_counter()
-    ctx = SolveContext(root=cfg.root)
+    ctx = SolveContext(root=cfg.root, whole_dp=cfg.heuristic == "auto")
     pre: Optional[PreprocessResult] = None
     # Every solve reports every key, None when the value is absent.
     stats: dict = dict.fromkeys(("heuristic", "preprocessing", "root", "search"))
@@ -600,6 +603,9 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
     except SolveTimeout as exc:
         if exc.lower_bound is not None:
             ctx.lower_bound = max(ctx.lower_bound, exc.lower_bound + pre.offset)
+        if exc.incumbent is not None:  # a tree the search banked
+            banked = SteinerTree.from_edges(reduced.network, exc.incumbent, root)
+            ctx.offer(instance, unreduce(banked, pre.log).edges)
         tree = ctx.tree(instance)
         if tree is not None:
             validate_tree(instance, tree)

@@ -24,10 +24,12 @@ from stpsolve import (
     validate_tree,
     zero_heuristic,
 )
-from stpsolve.bounds import _spread, select_root
+from stpsolve.bounds import _spread, fits_dp_budget, select_root
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
 from conftest import (
+    SHAPES,
+    family_corpus,
     hypercube,
     make_diamond,
     random_grid,
@@ -233,6 +235,100 @@ class TestFirstRound:
         assert reused >= 10
 
 
+def hunt_census(monkeypatch, inst, heuristic):
+    """Solve ``inst`` under ``heuristic`` and return the result, what the
+    first elimination round deleted (None when no round eliminated) and the
+    calls of ``spread_rsph`` and ``improving_root_runs``, counted by
+    wrapping the ``bounds`` names."""
+    deleted, calls = [], {"spread_rsph": 0, "improving_root_runs": 0}
+    real_eliminate = _Working._eliminate
+
+    def eliminate(self, *args):
+        deleted.append(real_eliminate(self, *args))
+        return deleted[-1]
+
+    def counted(name):
+        real = getattr(stpsolve.bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Working, "_eliminate", eliminate)
+        for name in calls:
+            patch.setattr(stpsolve.bounds, name, counted(name))
+        result = solve(inst, SolveConfig(heuristic=heuristic))
+    return result, deleted[0] if deleted else None, calls
+
+
+def whole_dp_cubes():
+    """The 6-cubes of the family corpus and weighted 6-cubes of the
+    many-terminals family: 8 terminals on 64 vertices fit ``DP_BUDGET``."""
+    cubes = [
+        inst
+        for inst, (build, args) in zip(family_corpus(3), 3 * SHAPES)
+        if build is hypercube and args[0] == 6
+    ]
+    return cubes + [
+        hypercube(random.Random(f"{s}:six"), 6, 8, 100, 110, 3) for s in range(20)
+    ]
+
+
+class TestWholeDpSchedule:
+    """Under ``auto`` a search whose graph fits ``DP_BUDGET`` is the whole
+    DP, which ends at its first start state whatever the bounds: a first
+    round that deletes nothing on such a graph picks its first root and
+    ends the reductions, with no hunting round."""
+
+    def test_a_first_round_that_deletes_nothing_ends_the_reductions(
+        self, monkeypatch
+    ):
+        quiet = 0
+        for inst in whole_dp_cubes():
+            assert fits_dp_budget(inst)
+            result, deleted, calls = hunt_census(monkeypatch, inst, "auto")
+            assert result.cost == optimum(inst)
+            if deleted != 0:
+                continue
+            quiet += 1
+            assert calls == {"spread_rsph": 0, "improving_root_runs": 0}
+            assert result.stats["heuristic"] == "da+dw"
+            assert result.search.expansions == 0
+        assert quiet >= 10
+
+    def test_the_dual_ascent_guide_still_hunts(self, monkeypatch):
+        quiet = 0
+        for inst in whole_dp_cubes():
+            result, deleted, calls = hunt_census(monkeypatch, inst, "da")
+            assert result.cost == optimum(inst)
+            if deleted == 0:
+                quiet += 1
+                assert calls == {"spread_rsph": 1, "improving_root_runs": 1}
+        assert quiet >= 10
+
+    def test_a_seven_cube_past_the_budget_still_hunts(self, monkeypatch):
+        inst = hypercube(random.Random("0:w"), 7, 10, 100, 110, 3)
+        assert not fits_dp_budget(inst)
+        result, deleted, calls = hunt_census(monkeypatch, inst, "auto")
+        assert deleted == 0
+        assert calls == {"spread_rsph": 1, "improving_root_runs": 1}
+        assert result.cost == 2063  # dreyfus_wagner's optimum
+
+    def test_the_round_takes_its_first_root(self):
+        for inst in whole_dp_cubes():
+            ctx = SolveContext(whole_dp=True)
+            w = _Working(inst, ctx)
+            w.simple_fixpoint()
+            snapshot, order, _ = w.snapshot()
+            first = dual_ascent(snapshot, min(snapshot.terminals))
+            if w.dual_ascent_elimination() == 0 and not ctx.proven:
+                assert ctx.root == order[first.root]
+                assert w.run == first
+
+
 class TestStatsSchema:
     def test_every_kind_of_solve_reports_the_same_keys(self):
         grid = unit_grid(12, 12, 10, 1, 1)  # searched: the reductions prove seed 0
@@ -420,6 +516,34 @@ class TestTimeouts:
                 raised += stats["lower_bound"] > before
         assert searched >= 5
         assert raised >= 1
+
+    def test_a_search_timeout_returns_the_tree_it_banked(self, monkeypatch):
+        # Two weighted 7-cubes past the DP budget whose searches bank a tree
+        # cheaper than the reductions' incumbent and go on: time runs out
+        # right after the first bank, and the timeout returns that tree.
+        banked = []
+        real_mst, real_clock = stpsolve.solver.pruned_mst, time.monotonic
+
+        def bank(network, edges, keep):
+            tree = real_mst(network, edges, keep)
+            banked.append(sum(network.cost_of(e) for e in tree))
+            return tree
+
+        def clock():  # the deadline passes once a tree is banked
+            return real_clock() + 1e6 * bool(banked)
+
+        monkeypatch.setattr(stpsolve.solver, "pruned_mst", bank)
+        monkeypatch.setattr(time, "monotonic", clock)
+        for tag in ("0:w", "1:w"):
+            inst = hypercube(random.Random(tag), 7, 10, 100, 110, 3)
+            banked.clear()
+            result = solve(inst, SolveConfig(time_limit=60.0))
+            assert result.status == "timeout"
+            assert len(banked) == 1
+            assert result.cost == banked[0] + result.preprocess.offset
+            assert validate_tree(inst, result.tree) == result.cost
+            assert result.stats["upper_bound"] == result.cost
+            assert result.stats["lower_bound"] <= result.cost
 
     def test_search_counters_survive_a_timeout(self):
         inst = unit_grid(15, 15, 10, 1, 9)

@@ -271,6 +271,44 @@ class TestSnapshotReuse:
         assert [outcome(solve(inst)) for inst in corpus] == reused
 
 
+class TestTrustedSnapshot:
+    """A rebuilt snapshot skips the dedup, the per-edge checks and the
+    connectivity check, since its edges come sorted, unique, with positive
+    integer costs, and connected: the graph equals the checked build."""
+
+    def test_the_trusted_build_equals_the_checked_one(self, monkeypatch):
+        snapshots = []
+
+        def recorded(w):
+            snap = _snapshot(w)
+            if snap[0] is not w.instance:
+                snapshots.append(snap[0])
+            return snap
+
+        rng = random.Random(353)
+        for inst in [random_instance(rng) for _ in range(60)] + family_corpus(2):
+            w = _Working(inst)
+            w.simple_fixpoint()
+            for _ in range(rng.randint(1, 4)):  # each keeps the graph connected
+                live = sorted(w.alive)
+                if len(live) < 3:
+                    break
+                a, b = rng.sample(live, 2)
+                w.add_or_min_edge(a, b, rng.randint(1, 30), ())
+                w.contract_edge_pair(a, rng.choice(sorted(w.adj[a])))
+            recorded(w)
+        monkeypatch.setattr(_Working, "snapshot", recorded)
+        for inst in [random_grid(rng) for _ in range(30)] + family_corpus(2):
+            solve(inst)
+        assert len(snapshots) >= 150
+        for inst in snapshots:
+            net = inst.network
+            checked = Instance(Network(net.vertex_count, net.edges), inst.terminals)
+            assert vars(net) == vars(checked.network)
+            assert type(inst.terminals) is frozenset
+            assert inst.terminals == checked.terminals
+
+
 class TestProvenance:
     def test_provenance_accounts_for_every_original_edge_once(self):
         # Each reduced edge costs the original edges it stands for, the

@@ -517,7 +517,8 @@ class TestSolve:
 
     def test_preprocessing_root_run_is_reused(self):
         # The search root is the solve context's root (chosen once, in the
-        # first dual-ascent elimination round) mapped to reduced ids.
+        # reductions) mapped to reduced ids.  The context is built as the
+        # default solve builds it, for the auto guide's whole DP.
         rng = random.Random(127)
         searched = 0
         for _ in range(80):
@@ -528,7 +529,7 @@ class TestSolve:
             terminals = frozenset(rng.sample(range(n), rng.randint(3, 6)))
             inst = Instance(Network(n, edges), terminals)
             result = solve(inst)
-            ctx = SolveContext()
+            ctx = SolveContext(whole_dp=True)
             pre = run_pipeline(inst, ctx)
             reduced = result.preprocess.reduced
             assert pre.reduced.network.edges == reduced.network.edges

@@ -1,4 +1,4 @@
-"""Print two SHA-256 digests over the answers of every seed-1-3 benchmark solve.
+"""Print SHA-256 digests over the answers of every seed-1-3 benchmark solve.
 
     python3 tools/solve_digest.py
 
@@ -10,7 +10,10 @@ does.  The first line covers each solve's status, cost, tree edges and
 ``stats`` without their ``wall_time`` keys, so two checkouts that print the
 same first line gave byte-identical answers on all 288 solves.  The second
 line covers only status and cost: two checkouts that print the same second
-line found the same optima, whatever trees and counters they report.
+line found the same optima, whatever trees and counters they report.  One
+more line per workload covers what the first line does for that workload's
+solves alone, so two checkouts that differ in the first line show which
+workloads' answers moved.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ def main() -> int:
 
     digest, costs = hashlib.sha256(), hashlib.sha256()
     solves = 0
+    per_workload = []
     for name, shapes in sorted(WORKLOADS.items()):
+        own, count = hashlib.sha256(), 0
         for seed in SEEDS:
             for inst in instances(shapes, seed):
                 result = solve(parse_instance(write_instance(inst, fmt="stp")).instance)
@@ -47,12 +52,16 @@ def main() -> int:
                     "tree": sorted(result.tree.edges),
                     "stats": without_wall_times(result.stats),
                 }
-                digest.update(json.dumps(answer, sort_keys=True).encode())
-                digest.update(b"\n")
+                line = json.dumps(answer, sort_keys=True).encode() + b"\n"
+                digest.update(line)
+                own.update(line)
                 costs.update(f"{result.status} {result.cost}\n".encode())
-                solves += 1
+                count += 1
+        solves += count
+        per_workload.append(f"{own.hexdigest()}  {count} solves {name}")
     print(f"{digest.hexdigest()}  {solves} solves")
     print(f"{costs.hexdigest()}  {solves} costs")
+    print(*per_workload, sep="\n")
     return 0
 
 
