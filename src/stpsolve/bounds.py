@@ -238,20 +238,29 @@ class DualAscentHeuristic(SteinerHeuristic):
 
 
 # The whole subset DP takes about 3^k * n steps (k terminals, root included,
-# n vertices); within DP_BUDGET every mask gets an exact table.  Elsewhere a
+# n vertices); within DP_BUDGET every mask gets an exact table.  A graph that
+# no reduction changed gets UNTOUCHED_DP_FACTOR times the budget: where no
+# degree or bound test bites, the bounds stay far apart and a search builds
+# most of the tables anyway (510-943 expansions and 100-275 dual-ascent
+# tables on the unit 7-cubes with 10 terminals, 3^10 * 128 < 2^23).  On
+# reduced grids of that size the search beats the DP.  Elsewhere a
 # search that has built dual-ascent tables for 1/EXACT_AFTER of the masks will
 # likely query most of them, so from then on exact tables pay for masks of at
 # most EXACT_TERMINAL_CAP non-root terminals: at most 31 splits a table and
 # 63 tables a closure.  Searches that end sooner (most unit grids) build
 # only the rows of masks of at most one terminal.
 DP_BUDGET = 1 << 20
+UNTOUCHED_DP_FACTOR = 8
 EXACT_AFTER = 8
 EXACT_TERMINAL_CAP = 5
 
 
-def fits_dp_budget(instance: Instance) -> bool:
-    """Whether the whole subset DP over ``instance`` fits ``DP_BUDGET``."""
-    return 3 ** len(instance.terminals) * instance.network.vertex_count <= DP_BUDGET
+def fits_dp_budget(instance: Instance, untouched: bool = False) -> bool:
+    """Whether the whole subset DP over ``instance`` fits ``DP_BUDGET``, or
+    ``UNTOUCHED_DP_FACTOR`` times it when ``untouched`` says that the
+    reductions ran and changed nothing."""
+    budget = DP_BUDGET * (UNTOUCHED_DP_FACTOR if untouched else 1)
+    return 3 ** len(instance.terminals) * instance.network.vertex_count <= budget
 
 
 def _splits(key: int) -> Iterator[tuple[int, int]]:
@@ -269,10 +278,13 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
 
     A complement mask J gets the exact table S(J + root), the cost of the
     cheapest tree spanning J, the root and u, when J holds at most one
-    terminal, when the whole DP fits ``DP_BUDGET``, or once dual-ascent
-    tables exist for 1/``EXACT_AFTER`` of the masks and J holds at most
-    ``EXACT_TERMINAL_CAP`` terminals.  The rules depend only on the instance
-    and table counts, so searches stay deterministic.
+    terminal, when ``whole_dp`` is set, or once dual-ascent tables exist for
+    1/``EXACT_AFTER`` of the masks and J holds at most
+    ``EXACT_TERMINAL_CAP`` terminals.  ``whole_dp`` starts as
+    ``fits_dp_budget(instance)``; ``solve`` sets it from the same test with
+    the 8x budget of a graph the reductions left untouched.  The rules
+    depend only on the instance, that decision and table counts, so searches
+    stay deterministic.
 
     Subset tables are keyed by a bitmask over all terminals, the root as
     the top bit.  S({t}) is t's distance row; for two or more terminals,
@@ -288,7 +300,7 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
         super().__init__(instance, root)
         self._terminals = (*self.index.order, root)  # by bit position
         self._root_bit = self.index.full_mask + 1
-        self._whole_dp = fits_dp_budget(instance)
+        self.whole_dp = fits_dp_budget(instance)
         self._da_tables = 0
         self._exact: set[int] = set()
         self._subsets: dict[int, list[int]] = {}
@@ -299,7 +311,7 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
             size = mask.bit_count()
             if (
                 size <= 1
-                or self._whole_dp
+                or self.whole_dp
                 or (
                     EXACT_AFTER * self._da_tables > self.index.full_mask
                     and size <= EXACT_TERMINAL_CAP

@@ -61,8 +61,11 @@ class SolveContext:
     cheapest tree found so far and ``upper_bound`` its cost; ``lower_bound``
     is the best proven bound on the optimum, in original costs.  Equal
     bounds prove the incumbent optimal.  ``whole_dp`` says that the search's
-    guide builds the whole subset DP on a graph within ``DP_BUDGET``, where
-    the search ends at its first start state whatever the bounds.
+    guide builds the whole subset DP on a graph that fits the DP budget,
+    where the search ends at its first start state whatever the bounds: a
+    graph within ``DP_BUDGET``, or within 8 times it when no reduction
+    changed the graph (``bounds.fits_dp_budget``), since there the bounds
+    stay apart and a search would build most of the DP's tables anyway.
     """
 
     root: Optional[int] = None
@@ -118,10 +121,16 @@ class _Working:
         self.merged_into: dict[int, int] = {}
         # True until a primitive mutation runs: the graph is still the input's.
         self.pristine = True
+        # The last ``snapshot()``, dropped by every primitive mutation.
+        self._built: Optional[tuple[Instance, list[int], list[tuple[int, ...]]]] = None
         # The last elimination round's root run, None before the first round.
         self.run: Optional[_bounds.DualAscentResult] = None
 
     # -- primitive mutations -------------------------------------------------
+
+    def _mutate(self):
+        self.pristine = False
+        self._built = None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -130,12 +139,12 @@ class _Working:
         return sum(len(d) for d in self.adj.values()) // 2
 
     def remove_edge(self, u: int, v: int):
-        self.pristine = False
+        self._mutate()
         self.adj[u].pop(v)
         self.adj[v].pop(u)
 
     def remove_vertex(self, v: int):
-        self.pristine = False
+        self._mutate()
         for n in list(self.adj[v]):
             self.adj[n].pop(v)
         del self.adj[v]
@@ -148,7 +157,7 @@ class _Working:
         cur = self.adj[u].get(v)
         if cur is not None and cur[0] <= cost:
             return False
-        self.pristine = False
+        self._mutate()
         entry = (cost, prov)
         self.adj[u][v] = entry
         self.adj[v][u] = entry
@@ -160,7 +169,7 @@ class _Working:
         terminal.  Returns the survivor."""
         if b not in self.adj.get(a, {}):
             raise InputError(f"cannot contract missing edge ({a}, {b})")
-        self.pristine = False
+        self._mutate()
         a_term, b_term = a in self.terminals, b in self.terminals
         if a_term and not b_term:
             survivor, absorbed = b, a
@@ -215,7 +224,9 @@ class _Working:
             self.remove_vertex(v)
         return len(strays)
 
-    def snapshot(self) -> tuple[Instance, list[int], list[tuple[int, ...]]]:
+    def snapshot(
+        self, deadline: Optional[float] = None
+    ) -> tuple[Instance, list[int], list[tuple[int, ...]]]:
         """Restrict the graph to the terminals' component and materialize it
         as an immutable Instance.
 
@@ -223,11 +234,17 @@ class _Working:
         working ids, and ``prov``: ``prov[eid]`` is the provenance of its
         edge ``eid``.  An unchanged graph is the (connected) input instance,
         with the identity order and provenance that a rebuild would give.
+        A graph no mutation touched since the last call gets that call's
+        snapshot again.  ``deadline`` is checked between collecting the
+        edges and building the ``Network``.
         """
+        if self._built is not None:
+            return self._built
         if self.pristine:
             net = self.instance.network
             prov = [(eid,) for eid in range(net.edge_count)]
-            return self.instance, list(range(net.vertex_count)), prov
+            self._built = self.instance, list(range(net.vertex_count)), prov
+            return self._built
         self.restrict_to_terminal_component()
         order = sorted(self.alive)
         pos = {v: i for i, v in enumerate(order)}
@@ -239,9 +256,11 @@ class _Working:
                     c, p = nbrs[v]
                     edges.append((pos[u], pos[v], c))
                     prov.append(p)
+        check_deadline(deadline)
         net = Network.trusted(len(order), edges)
         inst = Instance.trusted(net, frozenset(pos[t] for t in self.terminals))
-        return inst, order, prov
+        self._built = inst, order, prov
+        return self._built
 
     # -- simple operations ---------------------------------------------------
 
@@ -358,14 +377,15 @@ class _Working:
         bound.  A first round that deletes nothing goes on as the hunting
         round on its own snapshot and run, which is the graph and run the
         next round would make again, unless the context's search is the
-        whole DP and that snapshot fits ``DP_BUDGET``: then the round's run
-        picks the root and the pipeline ends.  When the bounds meet the
-        incumbent is optimal, the round's run picks the root, and the round
-        deletes nothing.
+        whole DP and that snapshot fits the DP budget, 8 times
+        ``DP_BUDGET`` while no reduction has changed the graph: then the
+        round's run picks the root and the pipeline ends.  When the bounds
+        meet the incumbent is optimal, the round's run picks the root, and
+        the round deletes nothing.
         """
         if len(self.terminals) <= 1:
             return 0
-        inst, order, prov = self.snapshot()
+        inst, order, prov = self.snapshot(deadline)
         ctx = self.context
         if ctx.root is not None:
             root = order.index(self.survivor(ctx.root))
@@ -394,7 +414,7 @@ class _Working:
             changed = self._eliminate(inst, order, run, bound, deadline)
             if changed or ctx.root is not None:
                 return changed
-            if ctx.whole_dp and _bounds.fits_dp_budget(inst):
+            if ctx.whole_dp and _bounds.fits_dp_budget(inst, self.pristine):
                 ctx.root = order[run.root]  # no bound shortens the search
                 return 0
             hunt = True  # the first round deleted nothing: hunt on its snapshot
@@ -447,8 +467,10 @@ class _Working:
 
     # -- finalization ----------------------------------------------------------
 
-    def finalize(self, stats: dict, changed: int) -> PreprocessResult:
-        reduced, order, prov = self.snapshot()
+    def finalize(
+        self, stats: dict, changed: int, deadline: Optional[float] = None
+    ) -> PreprocessResult:
+        reduced, order, prov = self.snapshot(deadline)
         log = ReductionLog(
             original=self.instance,
             forced=list(self.forced),
@@ -527,7 +549,7 @@ def run_pipeline(
         small = n < max(1, int(THRESHOLD_RATIO * units_before))
         if small and w.context.root is not None:
             break
-    return w.finalize(stats, total)
+    return w.finalize(stats, total, deadline)
 
 
 def unreduce(tree: SteinerTree, log: ReductionLog) -> SteinerTree:

@@ -37,6 +37,7 @@ from .bounds import (
     TerminalIndex,
     auto_heuristic,
     da_heuristic,
+    fits_dp_budget,
     improving_root_runs,
     one_tree_heuristic,
     pruned_mst,
@@ -583,6 +584,9 @@ def solve(instance: Instance, config: Optional[SolveConfig] = None) -> SolveResu
                 ctx.lower_bound = max(ctx.lower_bound, run.lower_bound + pre.offset)
         heuristic = _HEURISTICS[cfg.heuristic](reduced, root)
         heuristic.deadline = deadline
+        if ctx.whole_dp:  # the auto guide, told whether the reductions bit
+            untouched = cfg.preprocess and not pre.changed
+            heuristic.whole_dp = fits_dp_budget(reduced, untouched)
         stats["heuristic"] = heuristic.name
         stats["root"] = root
 

@@ -35,6 +35,7 @@ from stpsolve.bounds import (
     _spread,
     _tree_adjacency,
     auto_heuristic,
+    fits_dp_budget,
     improving_root_runs,
 )
 from conftest import (
@@ -289,6 +290,23 @@ class TestExactSubsetHeuristic:
                 terminals = subset_members(h, key)
                 for v in rng.sample(range(inst.network.vertex_count), 3):
                     assert row[v] == csmt(inst, terminals | {v})
+
+    @pytest.mark.parametrize("terminals", [6, 8, 10])
+    def test_each_budget_holds_exactly_to_its_edge(self, terminals):
+        # Paths of n vertices, the first ``terminals`` of them terminals:
+        # the largest n with 3^k * n within a budget fits it, n + 1 does not.
+        def path(n):
+            edges = [(v, v + 1, 1) for v in range(n - 1)]
+            return Instance(Network(n, edges), frozenset(range(terminals)))
+
+        for untouched, budget in ((False, DP_BUDGET), (True, 8 * DP_BUDGET)):
+            edge = budget // 3**terminals
+            assert fits_dp_budget(path(edge), untouched)
+            assert not fits_dp_budget(path(edge + 1), untouched)
+        # Between the two budgets only an untouched graph gets the whole DP.
+        between = path(DP_BUDGET // 3**terminals + 1)
+        assert fits_dp_budget(between, untouched=True)
+        assert not fits_dp_budget(between)
 
     def test_switch_after_one_eighth_of_the_masks(self):
         # Ten terminals on a 7-cube: the whole subset DP is past the budget.

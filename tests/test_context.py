@@ -24,7 +24,7 @@ from stpsolve import (
     validate_tree,
     zero_heuristic,
 )
-from stpsolve.bounds import _spread, fits_dp_budget, select_root
+from stpsolve.bounds import DP_BUDGET, _spread, fits_dp_budget, select_root
 from stpsolve.graph import SolveTimeout
 from stpsolve.reductions import REDUCTION_OPS as OPS, _Working
 from conftest import (
@@ -310,12 +310,57 @@ class TestWholeDpSchedule:
         assert quiet >= 10
 
     def test_a_seven_cube_past_the_budget_still_hunts(self, monkeypatch):
-        inst = hypercube(random.Random("0:w"), 7, 10, 100, 110, 3)
-        assert not fits_dp_budget(inst)
+        # 11 terminals: 3^11 * 128 is past even an untouched graph's budget.
+        inst = hypercube(random.Random("4:w"), 7, 11, 100, 110, 3)
+        assert not fits_dp_budget(inst, untouched=True)
         result, deleted, calls = hunt_census(monkeypatch, inst, "auto")
         assert deleted == 0
         assert calls == {"spread_rsph": 1, "improving_root_runs": 1}
-        assert result.cost == 2063  # dreyfus_wagner's optimum
+        assert result.cost == 2178  # dreyfus_wagner's optimum
+
+    def test_an_untouched_graph_gets_the_whole_dp_up_to_eight_budgets(
+        self, monkeypatch
+    ):
+        # Unit 6-cubes and 7-cubes with 10 terminals lie past DP_BUDGET but
+        # within 8 times it.  On those the reductions leave untouched, the
+        # first round ends the reductions and the search is the whole DP.
+        cubes = [
+            hypercube(random.Random(f"{s}:unit"), 6, 10, 1, 1, 2) for s in range(6)
+        ]
+        cubes += [
+            hypercube(random.Random(f"{s}:unit"), 7, 10, 1, 1, 3) for s in range(3)
+        ]
+        untouched = 0
+        for inst in cubes:
+            assert not fits_dp_budget(inst) and fits_dp_budget(inst, untouched=True)
+            result, deleted, calls = hunt_census(monkeypatch, inst, "auto")
+            assert result.cost == optimum(inst)
+            if result.preprocess.changed:
+                continue
+            untouched += 1
+            assert deleted == 0
+            assert calls == {"spread_rsph": 0, "improving_root_runs": 0}
+            assert result.search.expansions == 0
+        assert untouched >= 8
+
+    def test_a_graph_the_reductions_changed_keeps_the_smaller_budget(self):
+        # Reduced unit grids and a unit 6-cube between the two budgets: the
+        # reductions deleted something, so the search is not the whole DP.
+        corpus = [unit_grid(12, 12, 10, 1, s) for s in range(8)]
+        corpus.append(hypercube(random.Random("6:unit"), 6, 10, 1, 1, 2))
+        searched = 0
+        for inst in corpus:
+            result = solve(inst)
+            reduced = result.preprocess.reduced
+            if result.search is None:
+                continue
+            assert result.preprocess.changed
+            size = 3 ** len(reduced.terminals) * reduced.network.vertex_count
+            assert DP_BUDGET < size <= 8 * DP_BUDGET
+            assert result.search.expansions > 0
+            assert result.cost == optimum(inst)
+            searched += 1
+        assert searched >= 4
 
     def test_the_round_takes_its_first_root(self):
         for inst in whole_dp_cubes():
@@ -393,7 +438,8 @@ class TestTimeouts:
     def test_dual_ascent_runs_on_a_large_grid_honour_the_limit(self, monkeypatch):
         # One dual-ascent run on this 44,700-edge grid takes longer than the
         # tolerance.  With preprocessing the limits land in the first
-        # elimination round's dual ascent and in its upper bound's local
+        # snapshot build (0.25 s and 0.5 s, on a slower machine), the first
+        # elimination round's dual ascent and its upper bound's local
         # search; without, in root selection's dual-ascent runs.  A timed
         # solve first builds one RSPH tree of the input, so the solve may
         # take as long as that tree when it takes longer than the limit.
@@ -408,7 +454,7 @@ class TestTimeouts:
             return tree
 
         monkeypatch.setattr(stpsolve.solver, "rsph", timed_rsph)
-        sweep = [(True, 1.2), (True, 2.4)]
+        sweep = [(True, limit) for limit in (0.25, 0.5, 1.2, 2.4)]
         sweep += [(False, limit) for limit in (0.6, 0.9, 1.2, 1.5)]
         for preprocess, limit in sweep:
             rsph_seconds.clear()
@@ -486,12 +532,13 @@ class TestTimeouts:
 
     def test_search_timeouts_report_the_open_queue_bound(self, monkeypatch):
         # A weighted 7-cube of the many-terminals family, past the DP
-        # budget, whose search closes the gap between the dual-ascent bound
-        # (1966) and the optimum (2063).  Time limits sweep the solve: every
+        # budget, whose reductions delete something, so that it searches.  The
+        # search closes the gap between the bound the reductions prove
+        # (1976) and the optimum (2074).  Time limits sweep the solve: every
         # timeout brackets the optimum and returns a valid tree, and
         # timeouts late in the search report the open queue's bound, above
         # the bound the search started from.
-        inst = hypercube(random.Random("0:w"), 7, 10, 100, 110, 3)
+        inst = hypercube(random.Random("3:w"), 7, 10, 100, 110, 3)
         expected = optimum(inst)
         start = time.perf_counter()
         assert solve(inst).cost == expected
@@ -518,7 +565,8 @@ class TestTimeouts:
         assert raised >= 1
 
     def test_a_search_timeout_returns_the_tree_it_banked(self, monkeypatch):
-        # Two weighted 7-cubes past the DP budget whose searches bank a tree
+        # Two weighted 7-cubes past the DP budget, each with something the
+        # reductions delete, whose searches bank a tree
         # cheaper than the reductions' incumbent and go on: time runs out
         # right after the first bank, and the timeout returns that tree.
         banked = []
@@ -534,7 +582,7 @@ class TestTimeouts:
 
         monkeypatch.setattr(stpsolve.solver, "pruned_mst", bank)
         monkeypatch.setattr(time, "monotonic", clock)
-        for tag in ("0:w", "1:w"):
+        for tag in ("5:w", "1:w"):
             inst = hypercube(random.Random(tag), 7, 10, 100, 110, 3)
             banked.clear()
             result = solve(inst, SolveConfig(time_limit=60.0))

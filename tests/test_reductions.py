@@ -207,11 +207,14 @@ class TestPipeline:
 _snapshot = _Working.snapshot
 
 
-def rebuilt_snapshot(w):
+def rebuilt_snapshot(w, deadline=None):
     """What ``w.snapshot()`` gives when it rebuilds the graph whatever its
-    state."""
-    w.pristine = False
-    return _snapshot(w)
+    state.  ``pristine`` is kept, since it also picks the DP budget."""
+    pristine, w.pristine, w._built = w.pristine, False, None
+    try:
+        return _snapshot(w, deadline)
+    finally:
+        w.pristine = pristine
 
 
 def shape(inst):
@@ -279,8 +282,8 @@ class TestTrustedSnapshot:
     def test_the_trusted_build_equals_the_checked_one(self, monkeypatch):
         snapshots = []
 
-        def recorded(w):
-            snap = _snapshot(w)
+        def recorded(w, deadline=None):
+            snap = _snapshot(w, deadline)
             if snap[0] is not w.instance:
                 snapshots.append(snap[0])
             return snap

@@ -190,7 +190,7 @@ def searching_auto(instance, root):
     states: the search then meets rows of at most one terminal from the
     start and dual-ascent tables before the switch."""
     h = auto_heuristic(instance, root)
-    h._whole_dp = False
+    h.whole_dp = False
     return h
 
 

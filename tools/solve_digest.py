@@ -13,7 +13,10 @@ line covers only status and cost: two checkouts that print the same second
 line found the same optima, whatever trees and counters they report.  One
 more line per workload covers what the first line does for that workload's
 solves alone, so two checkouts that differ in the first line show which
-workloads' answers moved.
+workloads' answers moved.  A last line per workload counts how its solves
+ended, read from ``stats["search"]``: searches that expanded a state,
+searches that ended at their first start state (0 expansions), and solves
+proven without a search.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ def main() -> int:
 
     digest, costs = hashlib.sha256(), hashlib.sha256()
     solves = 0
-    per_workload = []
+    per_workload, endings = [], []
     for name, shapes in sorted(WORKLOADS.items()):
         own, count = hashlib.sha256(), 0
+        expanded = start_state = unsearched = 0
         for seed in SEEDS:
             for inst in instances(shapes, seed):
                 result = solve(parse_instance(write_instance(inst, fmt="stp")).instance)
@@ -57,11 +61,22 @@ def main() -> int:
                 own.update(line)
                 costs.update(f"{result.status} {result.cost}\n".encode())
                 count += 1
+                search = result.stats["search"]
+                if search is None:
+                    unsearched += 1
+                elif search["expansions"]:
+                    expanded += 1
+                else:
+                    start_state += 1
         solves += count
         per_workload.append(f"{own.hexdigest()}  {count} solves {name}")
+        endings.append(
+            f"{name}: {expanded} expanded a state, {start_state} ended at their"
+            f" first start state, {unsearched} proven without a search"
+        )
     print(f"{digest.hexdigest()}  {solves} solves")
     print(f"{costs.hexdigest()}  {solves} costs")
-    print(*per_workload, sep="\n")
+    print(*per_workload, *endings, sep="\n")
     return 0
 
 
