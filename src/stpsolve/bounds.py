@@ -243,16 +243,9 @@ class DualAscentHeuristic(SteinerHeuristic):
 # degree or bound test bites, the bounds stay far apart and a search builds
 # most of the tables anyway (510-943 expansions and 100-275 dual-ascent
 # tables on the unit 7-cubes with 10 terminals, 3^10 * 128 < 2^23).  On
-# reduced grids of that size the search beats the DP.  Elsewhere a
-# search that has built dual-ascent tables for 1/EXACT_AFTER of the masks will
-# likely query most of them, so from then on exact tables pay for masks of at
-# most EXACT_TERMINAL_CAP non-root terminals: at most 31 splits a table and
-# 63 tables a closure.  Searches that end sooner (most unit grids) build
-# only the rows of masks of at most one terminal.
+# reduced grids of that size the search beats the DP.
 DP_BUDGET = 1 << 20
 UNTOUCHED_DP_FACTOR = 8
-EXACT_AFTER = 8
-EXACT_TERMINAL_CAP = 5
 
 
 def fits_dp_budget(instance: Instance, untouched: bool = False) -> bool:
@@ -274,17 +267,15 @@ def _splits(key: int) -> Iterator[tuple[int, int]]:
 
 
 class ExactSubsetHeuristic(DualAscentHeuristic):
-    """Dual-ascent tables that give way to exact Dreyfus-Wagner tables.
+    """Dual-ascent tables, with exact Dreyfus-Wagner tables where they pay.
 
     A complement mask J gets the exact table S(J + root), the cost of the
     cheapest tree spanning J, the root and u, when J holds at most one
-    terminal, when ``whole_dp`` is set, or once dual-ascent tables exist for
-    1/``EXACT_AFTER`` of the masks and J holds at most
-    ``EXACT_TERMINAL_CAP`` terminals.  ``whole_dp`` starts as
+    terminal or when ``whole_dp`` is set; every other mask gets
+    ``DualAscentHeuristic``'s table.  ``whole_dp`` starts as
     ``fits_dp_budget(instance)``; ``solve`` sets it from the same test with
-    the 8x budget of a graph the reductions left untouched.  The rules
-    depend only on the instance, that decision and table counts, so searches
-    stay deterministic.
+    the 8x budget of a graph the reductions left untouched.  Both rules
+    depend on the mask alone, so searches stay deterministic.
 
     Subset tables are keyed by a bitmask over all terminals, the root as
     the top bit.  S({t}) is t's distance row; for two or more terminals,
@@ -301,31 +292,15 @@ class ExactSubsetHeuristic(DualAscentHeuristic):
         self._terminals = (*self.index.order, root)  # by bit position
         self._root_bit = self.index.full_mask + 1
         self.whole_dp = fits_dp_budget(instance)
-        self._da_tables = 0
-        self._exact: set[int] = set()
         self._subsets: dict[int, list[int]] = {}
 
-    def _tables(self, mask: int) -> tuple[int, list[int]]:
-        entry = self._cache.get(mask)
-        if entry is None:
-            size = mask.bit_count()
-            if (
-                size <= 1
-                or self.whole_dp
-                or (
-                    EXACT_AFTER * self._da_tables > self.index.full_mask
-                    and size <= EXACT_TERMINAL_CAP
-                )
-            ):
-                entry = self._cache[mask] = (0, self._subset(mask | self._root_bit))
-                self._exact.add(mask)
-            else:
-                entry = super()._tables(mask)
-                self._da_tables += 1
-        return entry
+    def eval_mask(self, u: int, mask: int) -> int:
+        if self.exact(mask):
+            return self._subset(mask | self._root_bit)[u]
+        return super().eval_mask(u, mask)
 
     def exact(self, mask: int) -> bool:
-        return mask in self._exact
+        return self.whole_dp or not mask & (mask - 1)
 
     def completion(self, u: int, mask: int) -> Iterable[int]:
         net = self.instance.network

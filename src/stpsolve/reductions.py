@@ -66,6 +66,8 @@ class SolveContext:
     graph within ``DP_BUDGET``, or within 8 times it when no reduction
     changed the graph (``bounds.fits_dp_budget``), since there the bounds
     stay apart and a search would build most of the DP's tables anyway.
+    Past the budget the guide is exact only for subsets of at most one
+    terminal and builds dual-ascent tables for the rest.
     """
 
     root: Optional[int] = None
@@ -121,8 +123,14 @@ class _Working:
         self.merged_into: dict[int, int] = {}
         # True until a primitive mutation runs: the graph is still the input's.
         self.pristine = True
-        # The last ``snapshot()``, dropped by every primitive mutation.
-        self._built: Optional[tuple[Instance, list[int], list[tuple[int, ...]]]] = None
+        # The last ``snapshot()``, dropped by every primitive mutation; at
+        # first the (connected) input's own, with the identity order and
+        # provenance that a rebuild would give.
+        self._built: Optional[tuple[Instance, list[int], list[tuple[int, ...]]]] = (
+            instance,
+            list(range(net.vertex_count)),
+            [(eid,) for eid in range(net.edge_count)],
+        )
         # The last elimination round's root run, None before the first round.
         self.run: Optional[_bounds.DualAscentResult] = None
 
@@ -232,18 +240,12 @@ class _Working:
 
         Returns the instance, the ordered list mapping its dense ids back to
         working ids, and ``prov``: ``prov[eid]`` is the provenance of its
-        edge ``eid``.  An unchanged graph is the (connected) input instance,
-        with the identity order and provenance that a rebuild would give.
-        A graph no mutation touched since the last call gets that call's
-        snapshot again.  ``deadline`` is checked between collecting the
-        edges and building the ``Network``.
+        edge ``eid``.  A graph no mutation touched since the last call (or
+        since the start, when it is the input's) gets that snapshot again.
+        ``deadline`` is checked between collecting the edges and building
+        the ``Network``.
         """
         if self._built is not None:
-            return self._built
-        if self.pristine:
-            net = self.instance.network
-            prov = [(eid,) for eid in range(net.edge_count)]
-            self._built = self.instance, list(range(net.vertex_count)), prov
             return self._built
         self.restrict_to_terminal_component()
         order = sorted(self.alive)

@@ -308,61 +308,57 @@ class TestExactSubsetHeuristic:
         assert fits_dp_budget(between, untouched=True)
         assert not fits_dp_budget(between)
 
-    def test_switch_after_one_eighth_of_the_masks(self):
+    def test_two_rules_past_the_budget(self):
         # Ten terminals on a 7-cube: the whole subset DP is past the budget.
-        # Masks of at most one terminal get exact tables from the first
-        # query.  The others switch after 64 dual-ascent tables (1/8 of the
-        # 512 complement masks), and only for masks of at most 5 terminals.
+        # Masks of at most one terminal get exact tables.  Every other mask
+        # gets da's table however many tables exist: the masks of at most 5
+        # terminals queried after the 64th too.
         inst = hypercube(random.Random(5), 7, 10, 100, 110, 3)
         h = ExactSubsetHeuristic(inst, min(inst.terminals))
         assert 3 ** len(inst.terminals) * inst.network.vertex_count > DP_BUDGET
+        assert not h.whole_dp
         da = da_heuristic(inst, h.root)
+        vertices = range(inst.network.vertex_count)
         root_bit = h.index.full_mask + 1
-        for mask in (0, 1, 2, 256):
-            for u in range(inst.network.vertex_count):
+        masks = range(h.index.full_mask + 1)
+        for mask in (m for m in masks if m.bit_count() <= 1):
+            for u in vertices:
                 assert h.eval_mask(u, mask) == h._subset(mask | root_bit)[u]
             assert h.exact(mask)
-        assert h._da_tables == 0
-        larger = [m for m in range(h.index.full_mask + 1) if m.bit_count() >= 2]
-        for mask in larger[:64]:
-            assert h.eval_mask(h.root, mask) == da.eval_mask(h.root, mask)
+        larger = [m for m in masks if m.bit_count() >= 2]
+        assert any(m.bit_count() <= 5 for m in larger[64:])
+        for mask in larger:
+            for u in vertices:
+                assert h.eval_mask(u, mask) == da.eval_mask(u, mask)
             assert not h.exact(mask)
-        assert h._da_tables == 64
-        small = next(m for m in larger[64:] if m.bit_count() <= 5)
-        for u in range(inst.network.vertex_count):
-            assert h.eval_mask(u, small) == h._subset(small | root_bit)[u]
-        assert h.exact(small) and h._da_tables == 64
-        big = next(m for m in larger[64:] if m.bit_count() > 5)
-        assert h.eval_mask(h.root, big) == da.eval_mask(h.root, big)
-        assert not h.exact(big) and h._da_tables == 65
 
-    def test_grids_that_never_switch_search_as_dual_ascent(self):
-        # On grids past the DP budget, a search that never reaches the
-        # switch keeps for every mask of two or more terminals the
-        # dual-ascent table da builds, and finds da's cost.  The grids are
-        # the corpus's unit grids; family_corpus(0) is its 12-terminal grid.
-        unswitched = 0
+    def test_grids_past_the_budget_search_as_dual_ascent(self):
+        # On grids past the DP budget, the search keeps for every mask of
+        # two or more terminals the dual-ascent table da builds, and finds
+        # da's cost.  The grids are the corpus's unit grids;
+        # family_corpus(0) is its 12-terminal grid.
         grids = [
             inst
             for inst, (build, _) in zip(family_corpus(3), 3 * SHAPES)
             if build is unit_grid
         ] + family_corpus(0)
+        checked = 0
         for inst in grids:
             if 3 ** len(inst.terminals) * inst.network.vertex_count <= DP_BUDGET:
                 continue
+            checked += 1
             root = min(inst.terminals)
             exact, da = auto_heuristic(inst, root), da_heuristic(inst, root)
             cost, tree, _ = ds_star(inst, root, exact)
-            larger = [m for m in exact._cache if m.bit_count() >= 2]
-            if any(exact.exact(m) for m in larger):
-                continue
-            unswitched += 1
             assert ds_star(inst, root, da)[0] == cost == validate_tree(inst, tree)
-            for mask in larger:
+            for mask in exact._cache:
+                assert mask.bit_count() >= 2 and not exact.exact(mask)
                 assert exact._cache[mask] == da._tables(mask)
-        assert unswitched >= 4
+        assert checked >= 4
 
-    def test_weighted_hypercubes_switch_and_expand_less(self):
+    def test_weighted_hypercubes_within_the_budget_expand_less(self):
+        # 3^8 * 64 is within the budget: the whole DP, which ends at the
+        # first start state.
         for seed in range(3):
             inst = hypercube(random.Random(seed), 6, 8, 100, 110, 3)
             root = min(inst.terminals)

@@ -187,8 +187,8 @@ class TestDsStar:
 def searching_auto(instance, root):
     """``auto`` without the whole subset DP, which on the small oracle
     instances always fits the budget and ends the search at its start
-    states: the search then meets rows of at most one terminal from the
-    start and dual-ascent tables before the switch."""
+    states: the search then meets exact rows for masks of at most one
+    terminal and dual-ascent tables for every other mask."""
     h = auto_heuristic(instance, root)
     h.whole_dp = False
     return h
